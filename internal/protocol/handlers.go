@@ -95,14 +95,17 @@ func SetDebugTraceBlock(base int) { debugTraceBlock = base }
 // dispatch; wakeups are free and not counted).
 func (p *Proc) handle(m *pmsg) {
 	if m.kind != mWake {
-		detail := ""
-		if m.baseLine >= 0 {
-			detail = p.traceState(m.baseLine)
-		} else if m.kind.syncMsg() {
-			detail = fmt.Sprintf("id=%d", m.id)
+		// The detail is formatted only when a tracer will receive it.
+		if p.sys.tracer != nil {
+			detail := ""
+			if m.baseLine >= 0 {
+				detail = p.traceState(m.baseLine)
+			} else if m.kind.syncMsg() {
+				detail = fmt.Sprintf("id=%d", m.id)
+			}
+			p.trace("handle", m.kind.String(), m.baseLine, "from R%d seq=%d: %s",
+				m.requester, m.seq, detail)
 		}
-		p.trace("handle", m.kind.String(), m.baseLine, "from R%d seq=%d: %s",
-			m.requester, m.seq, detail)
 		if p.handlerDepth == 0 {
 			start := p.sp.Now()
 			p.handlerDepth++

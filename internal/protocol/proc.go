@@ -548,10 +548,13 @@ func (p *Proc) stallOutstanding() {
 // the detail marks them so the detector does not mistake them for evidence.
 func (p *Proc) newMissEntry(base int, kind stats.MissKind, rdMask, wrMask uint64, declared bool) *missEntry {
 	p.charge(stats.Other, p.sys.cfg.Costs.MissTableOp)
-	if declared {
-		p.trace("miss", "", base, "%v issued declared r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
-	} else {
-		p.trace("miss", "", base, "%v issued r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
+	// The detail is formatted only when a tracer will receive it.
+	if p.sys.tracer != nil {
+		if declared {
+			p.trace("miss", "", base, "%v issued declared r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
+		} else {
+			p.trace("miss", "", base, "%v issued r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
+		}
 	}
 	e := &missEntry{
 		baseLine:  base,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/stats"
 )
 
 // Addr8 offsets an address by i 8-byte words.
@@ -116,5 +117,36 @@ func TestWriterTracerFilters(t *testing.T) {
 	}
 	if strings.Contains(out, "ReadReq") && strings.Contains(out, "blk64") {
 		t.Fatal("filter leaked other blocks")
+	}
+}
+
+// TestUntracedPathsDoNotFormat pins that handling a message and issuing a
+// miss build no trace detail when no tracer is attached: the handled
+// downgrade (kept from finishing, so it repeats) allocates nothing, and the
+// issued miss allocates only its entry. Formatting the detail with fmt
+// would add several allocations to each.
+func TestUntracedPathsDoNotFormat(t *testing.T) {
+	s := testSystem(4, 4)
+	a := s.AllocPlaced(64, 64, 0)
+	var handleAllocs, missAllocs float64
+	s.Run(func(p *Proc) {
+		if p.ID() != 0 {
+			return
+		}
+		base := s.lay.LineOf(a)
+		p.grp.downgrades[base] = &dgEntry{baseLine: base, remaining: 1 << 30}
+		m := &pmsg{kind: mDowngradeToShared, baseLine: base, requester: 1, seq: 300}
+		handleAllocs = testing.AllocsPerRun(100, func() { p.handle(m) })
+		delete(p.grp.downgrades, base)
+		missAllocs = testing.AllocsPerRun(100, func() {
+			p.newMissEntry(base, stats.ReadMiss, 0x1ff, 0, false)
+			delete(p.grp.miss, base)
+		})
+	})
+	if handleAllocs != 0 {
+		t.Errorf("untraced handle allocates %.1f objects per message, want 0", handleAllocs)
+	}
+	if missAllocs != 1 {
+		t.Errorf("untraced newMissEntry allocates %.1f objects per miss, want 1 (the entry)", missAllocs)
 	}
 }

@@ -161,7 +161,7 @@ func (e *Engine) runWindows() int64 {
 				break
 			}
 			e.checkPanic()
-			e.fail("sim: deadlock\n" + e.dump())
+			panic("sim: deadlock\n" + e.dump())
 		}
 		// Fences whose cut the floor has reached observe the live
 		// counters before the next window runs anything past the cut.
@@ -299,9 +299,7 @@ func (e *Engine) runDomain(di int) {
 		}
 		next.state = stateRunning
 		next.horizon = e.domainHorizon(next, dom, end)
-		next.resume <- struct{}{}
-		k := <-next.yielded
-		switch k {
+		switch next.resume() {
 		case yieldReady:
 			next.state = stateReady
 		case yieldBlocked:

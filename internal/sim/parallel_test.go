@@ -308,7 +308,7 @@ func TestFailedRunReleasesGoroutines(t *testing.T) {
 		runCase(parallel, deadlock)
 		runCase(parallel, boom)
 	}
-	// fail() waits for the processor goroutines before panicking, so the
+	// Run stops every processor coroutine as its panic propagates, so the
 	// count should already be back; allow a brief settle for the runtime
 	// to retire exiting goroutines.
 	var after int

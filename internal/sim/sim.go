@@ -1,20 +1,24 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation engine
 // for a cluster of processors.
 //
-// Each simulated processor runs its program on its own goroutine. Under the
-// default serial scheduler the engine enforces strictly cooperative
-// execution: exactly one processor context executes at any instant, and the
-// scheduler always resumes the runnable processor with the smallest virtual
-// time (ties broken by processor ID). Processors advance their own virtual
+// Each simulated processor runs its program as an iter.Pull coroutine,
+// which the scheduler resumes and which hands control back at every
+// scheduling point. Under the default serial scheduler exactly one
+// processor context executes at any instant, and the scheduler always
+// resumes the runnable processor with the smallest virtual time (ties
+// broken by processor ID). Processors advance their own virtual
 // clocks explicitly and exchange timestamped messages; a message sent at
 // time t with latency d is visible to the destination no earlier than t+d.
 //
 // The engine also offers a conservative parallel scheduler (see
 // parallel.go): when every cross-domain message has a minimum latency L
 // (the Lookahead), all processors whose next-run time falls inside the
-// window [T, T+L) can execute concurrently on real goroutines without
-// violating causality — no message sent inside the window can arrive inside
-// it. Message delivery order, statistics, emission order and inbox-depth
+// window [T, T+L) can execute concurrently, one worker goroutine per
+// conflict domain resuming that domain's coroutines, without violating
+// causality — no message sent inside the window can arrive inside it.
+// Message delivery order, statistics, emission order and inbox-depth
 // accounting are all defined in terms of virtual time with deterministic
 // tie-breaks, so the same program and configuration produce bit-identical
 // results under either scheduler.
@@ -28,6 +32,10 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	// Package iter is why this file carries the go1.23 build constraint:
+	// it raises the file's language version while go.mod stays at go 1.22,
+	// the version that modules requiring this one (the benchmark) declare.
+	"iter"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -100,9 +108,12 @@ type Proc struct {
 	horizon int64
 	state   procState
 	inbox   msgHeap
-	resume  chan struct{}
-	yielded chan yieldKind
-	body    func(*Proc)
+	// next resumes the processor's coroutine until it yields (ok false once
+	// the body has returned); stop unwinds a suspended coroutine; yield is
+	// the coroutine's own side of next.
+	next  func() (yieldKind, bool)
+	stop  func()
+	yield func(yieldKind) bool
 	// blockedAt records where a processor blocked, for deadlock reports.
 	blockedAt string
 	// sendSeq counts this processor's sends; it is the final tie-break of
@@ -374,23 +385,15 @@ func (p *Proc) Fence(f func(proc int, at *stats.Proc)) {
 	}
 }
 
-// abortSentinel is panicked into parked processor goroutines when a run
-// fails, so they unwind and exit instead of leaking.
+// abortSentinel unwinds a suspended processor coroutine when its run
+// fails: after stop, yield returns false and doYield panics with it; the
+// coroutine's own recover swallows it.
 type abortSentinel struct{}
 
-// doYield transfers control to the scheduler. If the engine aborts the run
-// (deadlock or a processor panic elsewhere), the goroutine unwinds via
-// abortSentinel instead of blocking forever.
+// doYield transfers control to the scheduler, or unwinds the coroutine if
+// the run has been stopped (deadlock or a processor panic elsewhere).
 func (p *Proc) doYield(k yieldKind) {
-	e := p.eng
-	select {
-	case p.yielded <- k:
-	case <-e.abort:
-		panic(abortSentinel{})
-	}
-	select {
-	case <-p.resume:
-	case <-e.abort:
+	if !p.yield(k) {
 		panic(abortSentinel{})
 	}
 }
@@ -481,13 +484,10 @@ type Engine struct {
 	emitFn func(time int64, proc int, payload any)
 
 	// Per-run state, fully reset by Run.
-	windowed  bool
-	abort     chan struct{}
-	abortOnce sync.Once
-	panicCh   chan procPanic
-	wg        sync.WaitGroup
-	fenceMu   sync.Mutex
-	fences    []fenceRec
+	windowed bool
+	panicCh  chan procPanic
+	fenceMu  sync.Mutex
+	fences   []fenceRec
 	// Per-domain window state (see parallel.go). domEnd is immutable
 	// while a window's workers run; domFenceCap and domReflect are
 	// per-domain truncations written only by the owning domain's
@@ -629,16 +629,17 @@ type procPanic struct {
 // Run executes body on every processor until all complete, and returns the
 // maximum finish time in cycles. It panics with a diagnostic if the system
 // deadlocks (all processors blocked with no messages in flight) or if any
-// processor's body panics; in both cases every processor goroutine is
-// released before the panic propagates, so failed runs leak nothing. Run
-// fully resets engine and processor state first, so one engine can execute
-// the same program repeatedly with identical results.
+// processor's body panics; in both cases every suspended processor
+// coroutine is stopped as the panic propagates, so failed runs leak
+// nothing. Run fully resets engine and processor state first, so one engine
+// can execute the same program repeatedly with identical results.
 func (e *Engine) Run(body func(*Proc)) int64 {
-	e.resetRun(body)
+	e.resetRun()
 	e.buildDomains()
 	e.windowed = e.Parallel && e.Lookahead > 0 && len(e.domains) > 1
 	defer func() { e.windowed = false }()
-	e.startProcs()
+	e.startProcs(body)
+	defer e.stopProcs()
 
 	var maxFinish int64
 	if e.windowed {
@@ -649,26 +650,20 @@ func (e *Engine) Run(body func(*Proc)) int64 {
 	// Fences whose cut lies beyond the last action observe the final state.
 	e.resolveFences(math.MaxInt64)
 	e.flushTo(math.MaxInt64)
-	e.wg.Wait()
 	return maxFinish
 }
 
 // resetRun clears all per-run engine and processor state: clocks, inboxes,
 // send sequence counters, staged messages, emission and depth buffers, and
-// the failure-handling channels. Reusing an engine is therefore fully
-// reproducible.
-func (e *Engine) resetRun(body func(*Proc)) {
-	e.abort = make(chan struct{})
-	e.abortOnce = sync.Once{}
+// the panic channel. Reusing an engine is therefore fully reproducible.
+func (e *Engine) resetRun() {
 	e.panicCh = make(chan procPanic, len(e.procs))
-	e.wg = sync.WaitGroup{}
 	e.fences = nil
 	e.windowCount = 0
 	e.emitHeap = e.emitHeap[:0]
 	e.activeBuf = e.activeBuf[:0]
 	e.readyPQ = e.readyPQ[:0]
 	for _, p := range e.procs {
-		p.body = body
 		p.state = stateReady
 		p.now, p.horizon = 0, 0
 		p.inbox = nil
@@ -678,58 +673,51 @@ func (e *Engine) resetRun(body func(*Proc)) {
 		p.emits, p.emitStart = nil, 0
 		p.depthPend, p.depthDue = nil, nil
 		p.depth, p.peakDepth = 0, 0
-		p.resume = make(chan struct{})
-		p.yielded = make(chan yieldKind)
 	}
 }
 
-// startProcs launches the processor goroutines. Each waits for its first
-// resume, runs the body, and reports completion; a body panic is captured
-// for the scheduler and an engine abort unwinds the goroutine silently.
-func (e *Engine) startProcs() {
-	e.wg.Add(len(e.procs))
+// startProcs creates one coroutine per processor. A coroutine runs the body
+// on its first resume; a body panic is captured with its stack for the
+// scheduler and ends the coroutine as if the body had returned. Coroutines
+// may be resumed from different goroutines (parallel window workers), as
+// iter.Pull allows while calls never overlap.
+func (e *Engine) startProcs(body func(*Proc)) {
 	for _, p := range e.procs {
-		go func(p *Proc) {
-			defer e.wg.Done()
+		p.next, p.stop = iter.Pull(func(yield func(yieldKind) bool) {
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(abortSentinel); ok {
-						return
-					}
-					e.panicCh <- procPanic{p.ID, r, debug.Stack()}
-					select {
-					case p.yielded <- yieldDone:
-					case <-e.abort:
+					if _, ok := r.(abortSentinel); !ok {
+						e.panicCh <- procPanic{p.ID, r, debug.Stack()}
 					}
 				}
 			}()
-			select {
-			case <-p.resume:
-			case <-e.abort:
-				return
-			}
-			p.body(p)
-			select {
-			case p.yielded <- yieldDone:
-			case <-e.abort:
-			}
-		}(p)
+			p.yield = yield
+			body(p)
+		})
 	}
 }
 
-// fail aborts the run — releasing every parked processor goroutine and
-// waiting for all of them to exit — and then panics with the diagnostic.
-func (e *Engine) fail(msg string) {
-	e.abortOnce.Do(func() { close(e.abort) })
-	e.wg.Wait()
-	panic(msg)
+// stopProcs unwinds every coroutine still suspended; Run calls it on every
+// exit, normal (a no-op) or failed.
+func (e *Engine) stopProcs() {
+	for _, p := range e.procs {
+		p.stop()
+	}
+}
+
+// resume runs p until its body yields or returns, and reports which.
+func (p *Proc) resume() yieldKind {
+	if k, ok := p.next(); ok {
+		return k
+	}
+	return yieldDone
 }
 
 // checkPanic propagates a captured processor panic, if any.
 func (e *Engine) checkPanic() {
 	select {
 	case pp := <-e.panicCh:
-		e.fail(fmt.Sprintf("sim: processor %d panicked: %v\n%s\noriginal stack:\n%s",
+		panic(fmt.Sprintf("sim: processor %d panicked: %v\n%s\noriginal stack:\n%s",
 			pp.id, pp.val, e.dump(), pp.stack))
 	default:
 	}
@@ -754,7 +742,7 @@ func (e *Engine) runSerial() int64 {
 		next, bestT := e.pickNext()
 		if next == nil {
 			e.checkPanic()
-			e.fail("sim: deadlock\n" + e.dump())
+			panic("sim: deadlock\n" + e.dump())
 		}
 		// Fences whose cut the schedule has reached observe the live
 		// counters before anything at or past the cut runs.
@@ -774,8 +762,7 @@ func (e *Engine) runSerial() int64 {
 		}
 		next.state = stateRunning
 		next.horizon = e.horizonFor(next)
-		next.resume <- struct{}{}
-		k := <-next.yielded
+		k := next.resume()
 		e.checkPanic()
 		switch k {
 		case yieldReady:
