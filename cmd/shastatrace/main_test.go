@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -455,5 +456,93 @@ func TestAdviseBeatsConfiguredHome(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "node1") {
 		t.Fatalf("advise output proposes no alternative home:\n%s", stdout.String())
+	}
+}
+
+// TestWireRoundTripFixtureRuns encodes every event of the fixture runs
+// (small, migrate, racy) with WriteEvent and decodes them with ReadTrace:
+// every field of every event must come back unchanged, and together the
+// runs must exercise every typed field.
+func TestWireRoundTripFixtureRuns(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(shasta.Tracer)
+	}{
+		{"small", func(tr shasta.Tracer) { fixtureRun(tr) }},
+		{"migrate", func(tr shasta.Tracer) { migrateRun(tr) }},
+		{"racy", func(tr shasta.Tracer) {
+			if _, err := apps.ExecuteObserved(apps.NewRacy(1, "drop-lock"),
+				shasta.Config{Procs: 8, Clustering: 1}, false, tr); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	typ := reflect.TypeOf(protocol.TraceEvent{})
+	used := make([]bool, typ.NumField())
+	for _, r := range runs {
+		col := &shasta.CollectorTracer{}
+		r.run(col)
+		var buf bytes.Buffer
+		if err := obsv.WriteHeader(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range col.Events {
+			if err := obsv.WriteEvent(&buf, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, got, err := obsv.ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if len(got) != len(col.Events) {
+			t.Fatalf("%s: read %d events, wrote %d", r.name, len(got), len(col.Events))
+		}
+		for i, e := range col.Events {
+			if got[i] != e {
+				t.Fatalf("%s: event %d changed in the round trip:\nwrote %+v\nread  %+v", r.name, i, e, got[i])
+			}
+			v := reflect.ValueOf(e)
+			for f := range used {
+				used[f] = used[f] || !v.Field(f).IsZero()
+			}
+		}
+	}
+	for f, ok := range used {
+		// No fixture run issues batch misses (Declared) or crosses a
+		// node-group uplink (Uplink); obsv's TestTraceRoundTrip covers
+		// both.
+		if name := typ.Field(f).Name; !ok && name != "Declared" && name != "Uplink" {
+			t.Errorf("no fixture event sets TraceEvent.%s", name)
+		}
+	}
+}
+
+// TestRejectsV1Trace pins the schema cut at the CLI boundary: a version-1
+// trace is a schema error (exit 2) whose diagnostic tells the user to
+// re-record it. testdata/v1.jsonl is hand-kept, not regenerated by -update.
+func TestRejectsV1Trace(t *testing.T) {
+	golden := filepath.Join("testdata", "v1-rejected.golden")
+	for _, cmd := range []string{"summarize", "check", "spans", "sync", "races"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{cmd, "testdata/v1.jsonl"}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit code %d, want 2", cmd, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed a report for a rejected trace:\n%s", cmd, stdout.String())
+		}
+		if *update {
+			if err := os.WriteFile(golden, stderr.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update): %v", err)
+		}
+		if !bytes.Equal(stderr.Bytes(), want) {
+			t.Errorf("%s: stderr differs from %s:\n--- got ---\n%s--- want ---\n%s", cmd, golden, stderr.String(), want)
+		}
 	}
 }

@@ -203,9 +203,6 @@ func (w *FMM) Body(p *shasta.Proc) {
 				for t := 0; t < w.terms; t++ {
 					sre := b.LoadF64(w.xf(ox, xMultRe+t))
 					sim := b.LoadF64(w.xf(ox, xMultIm+t))
-					if debugFMM && (sre > 1e100 || sre < -1e100 || sim > 1e100 || sim < -1e100) {
-						panic(fmt.Sprintf("FMM M2L: proc %d box %d term %d tainted mult %g/%g", p.ID(), ox, t, sre, sim))
-					}
 					// Simplified translation kernel: scale by 1/r^(t+1)
 					// with rotation by the separation direction.
 					sc := 1 / math.Pow(r2, float64(t+1)/2)
@@ -240,9 +237,6 @@ func (w *FMM) Body(p *shasta.Proc) {
 			i := int(p.LoadU32(w.boxIdx.At(bx*w.boxCap + a)))
 			x := p.LoadF64(w.pf(i, 0))
 			y := p.LoadF64(w.pf(i, 1))
-			if debugFMM && (x > 1e100 || x < -1e100 || y > 1e100 || y < -1e100) {
-				panic(fmt.Sprintf("FMM L2P: proc %d particle %d tainted pos %g/%g", p.ID(), i, x, y))
-			}
 			cx := float64(bi) + 0.5
 			cy := float64(bj) + 0.5
 			dx, dy := x-cx, y-cy
@@ -270,9 +264,6 @@ func (w *FMM) Body(p *shasta.Proc) {
 						jx := p.LoadF64(w.pf(j, 0))
 						jy := p.LoadF64(w.pf(j, 1))
 						jq := p.LoadF64(w.pf(j, 2))
-						if debugFMM && (jq > 1e100 || jq < -1e100 || jx > 1e100 || jx < -1e100) {
-							panic(fmt.Sprintf("FMM P2P: proc %d reads particle %d tainted %g/%g/%g", p.ID(), j, jx, jy, jq))
-						}
 						d2 := (jx-x)*(jx-x) + (jy-y)*(jy-y) + 1e-6
 						pot += jq * 0.5 * math.Log(d2)
 						p.Compute(90)
@@ -294,9 +285,6 @@ func (w *FMM) Body(p *shasta.Proc) {
 		for a := 0; a < cnt; a++ {
 			i := int(p.LoadU32(w.boxIdx.At(bx*w.boxCap + a)))
 			pot := p.LoadF64(w.pf(i, 3))
-			if debugFMM && (pot > 1e100 || pot < -1e100) {
-				panic(fmt.Sprintf("FMM verify: proc %d particle %d (box %d slot %d) tainted pot %g", p.ID(), i, bx, a, pot))
-			}
 			sum += pot * (1 + float64(i%41)/41)
 		}
 	}
@@ -331,6 +319,3 @@ func (w *FMM) boxOf(x, y float64) int {
 
 // Checksum implements Workload.
 func (w *FMM) Checksum() float64 { return w.sum }
-
-// debugFMM enables taint diagnostics in the M2L phase.
-var debugFMM = false

@@ -19,11 +19,10 @@ import (
 var scaleSweep = []int{16, 64, 128, 256}
 
 // scaleSchedulers are the simulator schedulers the experiment times, in
-// report order. "serial" is the reference scheduler, "fixed" the parallel
-// scheduler restricted to fixed lookahead windows (the pre-optimization
-// behaviour), "adaptive" the shipped default with per-domain window
-// extension. All three must produce bit-identical virtual results.
-var scaleSchedulers = []string{"serial", "fixed", "adaptive"}
+// report order. "serial" is the reference scheduler, "adaptive" the
+// parallel scheduler with per-domain window extension. Both must produce
+// bit-identical virtual results.
+var scaleSchedulers = []string{"serial", "adaptive"}
 
 // scaleConfig builds the cluster configuration for one processor count.
 // ppn/npg override processors-per-node and nodes-per-group when non-zero
@@ -99,10 +98,10 @@ func topologyName(cfg shasta.Config) string {
 }
 
 // Scale sweeps the simulator from 16 to 256 processors and times each run
-// under the serial scheduler, the parallel scheduler with fixed windows,
-// and the parallel scheduler with adaptive windows (the default). At 64
-// processors and above the interconnect is hierarchical (4-processor
-// nodes, 4 nodes per uplink group) unless -topology overrides it. Every
+// under the serial scheduler and the parallel scheduler with adaptive
+// windows. At 64 processors and above the interconnect is hierarchical
+// (4-processor nodes, 4 nodes per uplink group) unless -topology
+// overrides it. Every
 // run bypasses the harness cache — wall-clock time is the measurement —
 // and the experiment fails if any scheduler's cycles, finish time or
 // checksum deviate (the bit-identity contract at scale).
@@ -133,7 +132,7 @@ func Scale(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "host cores (GOMAXPROCS): %d\n", runtime.GOMAXPROCS(0))
 
 	tw := newTab(w)
-	fmt.Fprintln(tw, "app\tprocs\ttopology\tcycles\tserial\tfixed\tadaptive\tpar speedup\tbit-identical")
+	fmt.Fprintln(tw, "app\tprocs\ttopology\tcycles\tserial\tadaptive\tpar speedup\tbit-identical")
 	for _, name := range names {
 		f, ok := apps.Registry[name]
 		if !ok {
@@ -146,7 +145,6 @@ func Scale(o Options, w io.Writer) error {
 			for i, sched := range scaleSchedulers {
 				runCfg := cfg
 				runCfg.Parallel = sched != "serial"
-				runCfg.FixedWindows = sched == "fixed"
 				// Best of two executions: the minimum wall time is the
 				// least noise-inflated estimate, and host noise is what
 				// the 10% regression gate must see through. Identity is
@@ -195,9 +193,9 @@ func Scale(o Options, w io.Writer) error {
 					})
 				}
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%.2fs\t%.2fs\t%.2fx\tyes\n",
+			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.2fs\t%.2fs\t%.2fx\tyes\n",
 				name, procs, topologyName(cfg), ref.Result.ParallelCycles,
-				walls["serial"].Seconds(), walls["fixed"].Seconds(), walls["adaptive"].Seconds(),
+				walls["serial"].Seconds(), walls["adaptive"].Seconds(),
 				walls["serial"].Seconds()/walls["adaptive"].Seconds())
 		}
 	}

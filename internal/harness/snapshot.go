@@ -47,8 +47,8 @@ type BenchScenario struct {
 	ProcsPerNode  int    `json:"procs_per_node"`
 	NodesPerGroup int    `json:"nodes_per_group"`
 	Clustering    int    `json:"clustering"`
-	// Scheduler is "serial", "fixed" (parallel, fixed windows) or
-	// "adaptive" (parallel, adaptive windows — the shipped default).
+	// Scheduler is "serial" or "adaptive" (the parallel scheduler with
+	// adaptive windows).
 	Scheduler string `json:"scheduler"`
 	// WallNs is host wall-clock time for the run.
 	WallNs int64 `json:"wall_ns"`

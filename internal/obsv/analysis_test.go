@@ -199,12 +199,12 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 		// Duplicate an exclusive grant (handle+install) with no intervening
 		// downgrade: two live exclusive owners in trace order.
 		for i := range ev {
-			grant, _, _ := strings.Cut(ev[i].Detail, " ")
-			if ev[i].Op == "install" && (grant == "exclusive" || grant == "upgrade") {
+			grant := ev[i].Kind
+			if ev[i].Op == "install" && (grant == protocol.KindExclusive || grant == protocol.KindUpgrade) {
 				h := ev[i]
 				h.Op = "handle"
-				h.Msg = map[string]string{"exclusive": "DataExclReply", "upgrade": "UpgradeAck"}[grant]
-				h.Detail = ""
+				h.Msg = map[protocol.TraceKind]string{protocol.KindExclusive: "DataExclReply", protocol.KindUpgrade: "UpgradeAck"}[grant]
+				h.Kind = protocol.KindNone
 				dup := append([]protocol.TraceEvent(nil), ev[:i+1]...)
 				dup = append(dup, h, ev[i])
 				dup = append(dup, ev[i+1:]...)

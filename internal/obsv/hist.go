@@ -139,7 +139,7 @@ func TraceHistograms(events []protocol.TraceEvent) (map[string]Histogram, int) {
 			} else {
 				pending[k] = q[1:]
 			}
-			kind, _, _ := strings.Cut(e.Detail, " ")
+			kind := e.Kind.String()
 			if kind == "" {
 				kind = "unknown"
 			}

@@ -2,6 +2,7 @@ package obsv_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/memory"
 	"repro/internal/obsv"
 	"repro/internal/protocol"
 )
@@ -16,20 +18,23 @@ import (
 // fakeEvents builds a small synthetic trace.
 func fakeEvents() []protocol.TraceEvent {
 	return []protocol.TraceEvent{
-		{Seq: 1, Time: 10, Proc: 4, Op: "miss", BaseLine: 0, Detail: "state=Invalid"},
-		{Seq: 2, Time: 12, Proc: 4, Op: "send", Msg: "ReadReq", BaseLine: 0, Detail: "to p0"},
-		{Seq: 3, Time: 900, Proc: 0, Op: "handle", Msg: "ReadReq", BaseLine: 0},
-		{Seq: 4, Time: 905, Proc: 0, Op: "downgrade", BaseLine: 0, Detail: "to shared"},
-		{Seq: 5, Time: 950, Proc: 0, Op: "send", Msg: "DataReply", BaseLine: 0},
-		{Seq: 6, Time: 2100, Proc: 4, Op: "handle", Msg: "DataReply", BaseLine: 0},
-		{Seq: 7, Time: 2110, Proc: 4, Op: "install", BaseLine: 0, Detail: "shared"},
-		{Seq: 8, Time: 2200, Proc: 4, Op: "sync", BaseLine: -1, Detail: "barrier gen=1"},
-		{Seq: 9, Time: 2300, Proc: 5, Op: "miss", BaseLine: 8},
+		{Seq: 1, Time: 10, Proc: 4, Op: "miss", BaseLine: 0, Kind: protocol.KindRead, Rd: 1, Detail: "state=I"},
+		{Seq: 2, Time: 12, Proc: 4, Op: "send", Msg: "ReadReq", BaseLine: 0},
+		{Seq: 3, Time: 900, Proc: 0, Op: "handle", Msg: "ReadReq", BaseLine: 0, Req: 4},
+		{Seq: 4, Time: 905, Proc: 0, Op: "downgrade", BaseLine: 0, State: memory.Shared, Detail: "1 recipients (pre E)"},
+		{Seq: 5, Time: 950, Proc: 0, Op: "send", Msg: "DataReply", BaseLine: 0, Peer: 4, MsgSeq: 1},
+		{Seq: 6, Time: 2100, Proc: 4, Op: "handle", Msg: "DataReply", BaseLine: 0, Req: 4, MsgSeq: 1},
+		{Seq: 7, Time: 2110, Proc: 4, Op: "install", BaseLine: 0, Kind: protocol.KindShared, MsgSeq: 1, Hops: 2},
+		{Seq: 8, Time: 2200, Proc: 4, Op: "sync", BaseLine: -1, Kind: protocol.KindBarrier, ID: 1},
+		{Seq: 9, Time: 2300, Proc: 5, Op: "miss", BaseLine: 8, Kind: protocol.KindWrite, Wr: 0x80, Declared: true},
 	}
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	events := fakeEvents()
+	events := append(fakeEvents(),
+		protocol.TraceEvent{Seq: 10, Time: 2300, Proc: 5, Op: "xmit", Msg: "ReadExclReq", BaseLine: 8,
+			Req: 5, Queue: 40, Wire: 1400, Xfer: 137, Uplink: true},
+		protocol.TraceEvent{Seq: 11, Time: 2400, Proc: 4, Op: "touch", BaseLine: 0, Detail: "quote \" and \u00e9"})
 	var buf bytes.Buffer
 	sink := obsv.NewJSONLWriterSink(&buf)
 	for _, e := range events {
@@ -55,12 +60,48 @@ func TestReadTraceRejects(t *testing.T) {
 		"empty":         "",
 		"wrong schema":  `{"schema":"other","version":1}` + "\n",
 		"newer version": `{"schema":"shasta-trace","version":99}` + "\n",
-		"bad event":     `{"schema":"shasta-trace","version":1}` + "\nnot json\n",
+		"version 1":     `{"schema":"shasta-trace","version":1}` + "\n",
+		"bad event":     `{"schema":"shasta-trace","version":2}` + "\nnot json\n",
+		"unknown kind":  `{"schema":"shasta-trace","version":2}` + "\n" + `{"seq":1,"t":1,"p":0,"op":"sync","blk":-1,"kind":"lock-steal"}` + "\n",
+		"unknown state": `{"schema":"shasta-trace","version":2}` + "\n" + `{"seq":1,"t":1,"p":0,"op":"privup","blk":0,"st":"Q"}` + "\n",
+		"negative proc": `{"schema":"shasta-trace","version":2}` + "\n" + `{"seq":1,"t":1,"p":-1,"op":"miss","blk":0}` + "\n",
+		"proc too big":  `{"schema":"shasta-trace","version":2}` + "\n" + `{"seq":1,"t":1,"p":256,"op":"miss","blk":0}` + "\n",
+		"peer overflow": `{"schema":"shasta-trace","version":2}` + "\n" + `{"seq":1,"t":1,"p":0,"op":"send","blk":0,"peer":4294967296}` + "\n",
 	}
 	for name, in := range cases {
 		if _, _, err := obsv.ReadTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestReadTraceRejectsVersion1 pins the schema cut: a version-1 trace
+// carried its facts as prose, which no analyzer parses any more, so the
+// reader refuses it and tells the user what to do.
+func TestReadTraceRejectsVersion1(t *testing.T) {
+	in := `{"schema":"shasta-trace","version":1}` + "\n" +
+		`{"seq":1,"t":13,"p":0,"op":"sync","blk":-1,"detail":"barrier gen=0"}` + "\n"
+	_, _, err := obsv.ReadTrace(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("version-1 trace accepted")
+	}
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "re-record") {
+		t.Errorf("diagnostic should name the version and the remedy: %v", err)
+	}
+}
+
+// TestJSONLSinkEventDoesNotAllocate pins the streaming encoder: once its
+// line buffer has grown, writing an event through a sink allocates nothing.
+func TestJSONLSinkEventDoesNotAllocate(t *testing.T) {
+	sink := obsv.NewJSONLWriterSink(io.Discard)
+	events := fakeEvents()
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, e := range events {
+			sink.Event(e)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("sink allocates %.1f objects per %d events, want 0", allocs, len(events))
 	}
 }
 
@@ -332,4 +373,41 @@ func TestSnapshotDoesNotPerturbRun(t *testing.T) {
 	if m := observed.Stats().TotalMessages(); m != seedMessages {
 		t.Fatalf("messages = %d, seed measured %d: profiling changed the protocol", m, seedMessages)
 	}
+}
+
+// FuzzReadTrace feeds arbitrary lines after a version-2 header to the
+// reader: it must never panic, and whatever decodes must also run through
+// the checker and the span, sync, race and causal analyzers without a
+// panic. Typed processor fields (Peer, Req, Prev) may name processors no
+// event comes from, or none at all; no analyzer may index by them.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte(`{"seq":1,"t":13,"p":0,"op":"sync","blk":-1,"kind":"barrier"}`))
+	f.Add([]byte(`{"seq":1,"t":640,"p":4,"op":"send","msg":"ReadExclReq","blk":0,"peer":300}
+{"seq":2,"t":640,"p":4,"op":"xmit","msg":"ReadExclReq","blk":0,"peer":-7,"req":99,"wire":1200,"xfer":137,"uplink":true}
+{"seq":3,"t":2000,"p":0,"op":"handle","msg":"ReadExclReq","blk":0,"req":-2147483648}`))
+	f.Add([]byte(`{"seq":1,"t":5,"p":1,"op":"miss","blk":3,"kind":"write","wr":16}
+{"seq":2,"t":6,"p":2,"op":"touch","blk":3,"rd":18446744073709551615}
+{"seq":3,"t":7,"p":1,"op":"send","msg":"LockRel","blk":-1,"peer":255,"id":-1}
+{"seq":4,"t":9,"p":255,"op":"handle","msg":"LockRel","blk":-1,"req":1,"id":-1}`))
+	f.Add([]byte(`{"seq":1,"t":1,"p":3,"op":"sync","blk":-1,"kind":"lock-acquire","id":2147483647}
+{"seq":2,"t":0,"p":3,"op":"sync","blk":-1,"kind":"lock-acquired","id":2147483647,"prev":-9,"hops":3}
+{"seq":3,"t":-4,"p":3,"op":"install","blk":-1,"kind":"upgrade","mseq":-1,"acks":-3}
+{"seq":4,"t":9,"p":3,"op":"downgrade","blk":8,"st":"Pd"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		in := append([]byte(`{"schema":"shasta-trace","version":2}`+"\n"), body...)
+		_, events, err := obsv.ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		_ = obsv.CheckTrace(events).Report()
+		_ = obsv.FormatSpans(obsv.BuildSpans(events), 3)
+		ss := obsv.BuildSync(events)
+		_ = obsv.FormatSync(ss, 3)
+		_ = obsv.FormatSkew(ss)
+		if rep, err := obsv.DetectRaces(events); err == nil {
+			_ = rep.Format()
+		}
+		c := obsv.BuildCausal(events)
+		_ = c.CriticalPath().Format(c)
+	})
 }

@@ -11,9 +11,9 @@ import (
 // Data-race detection over coherence traces. Shasta's fine-grain access
 // control instruments every shared load and store, so the trace already
 // carries the signal a race detector needs: each miss event names the block,
-// the sub-block slots the triggering access touches (the r=/w= masks in its
-// detail), and the issuing processor, while the synchronization traffic
-// (lock and barrier messages) carries the happens-before order the program
+// the sub-block slots the triggering access touches (its Rd/Wr masks), and
+// the issuing processor, while the synchronization traffic (lock and
+// barrier messages) carries the happens-before order the program
 // established. DetectRaces joins the two halves: it reconstructs
 // happens-before from the trace and reports conflicting access pairs —
 // same block, overlapping slot masks, at least one writer — that no
@@ -31,10 +31,10 @@ import (
 //     it. Release→acquire ordering composes from these: the releaser's
 //     LockRel reaches the lock home, whose LockGrant reaches the next
 //     holder, all within the home's program order;
-//   - barrier generations: every processor traces a "barrier gen=k" sync
-//     event on arrival, so an access a processor issues after its own
-//     gen-k arrival is ordered after everything any processor did up to
-//     that processor's own gen-k arrival. This rule is what orders
+//   - barrier generations: every processor traces a barrier sync event
+//     with generation k on arrival, so an access a processor issues after
+//     its own gen-k arrival is ordered after everything any processor did
+//     up to that processor's own gen-k arrival. This rule is what orders
 //     accesses across FastSync barriers, whose intra-group release is
 //     invisible shared-memory state (no BarGo reaches the members); it is
 //     sound because barriers are global — a processor past its arrival
@@ -53,8 +53,8 @@ import (
 // same kind from different requesters can be delivered out of send order
 // (local and remote hops have different latencies). The detector therefore
 // pairs LockReq/LockRel/BarArrive streams per requester — the handle's
-// "from R<p>" detail names the sender — and only falls back to plain FIFO
-// for LockGrant/BarGo, where the protocol guarantees at most one message
+// Req names the sender — and only falls back to plain FIFO for
+// LockGrant/BarGo, where the protocol guarantees at most one message
 // in flight per destination (an acquirer stalls until granted; barrier
 // rounds are serialized by the processor's own arrival).
 //
@@ -68,7 +68,7 @@ import (
 // of unsynchronized conflicting misses, but a clean report is not a proof
 // of race freedom. Private-state upgrades (privup events) carry no offset
 // information and are ignored. Batch fetches record the batch's declared
-// reference ranges on their miss events ("issued declared"), which
+// reference ranges on their miss events (marked Declared), which
 // over-approximate the body's accesses; the detector ignores those masks
 // and uses the batch's touch events — the exact slots the body accessed —
 // instead, so a conservative declaration cannot manufacture a conflict.
@@ -83,8 +83,8 @@ var syncMsgs = map[string]bool{
 	"BarArrive": true, "BarGo": true,
 }
 
-// syncSenderIsRequester marks the sync kinds whose handle detail ("from
-// R<p>") names the sending processor, enabling exact per-sender pairing.
+// syncSenderIsRequester marks the sync kinds whose handle's Req names the
+// sending processor, enabling exact per-sender pairing.
 var syncSenderIsRequester = map[string]bool{
 	"LockReq": true, "LockRel": true, "BarArrive": true,
 }
@@ -99,8 +99,7 @@ type AccessSite struct {
 	// for the exact accesses of a batched body (a touch event).
 	Kind string
 	// RdMask and WrMask are the sub-block slots read and written (see
-	// stats.SlotMask). Legacy traces without masks widen to the full
-	// block.
+	// stats.SlotMask).
 	RdMask, WrMask uint64
 }
 
@@ -153,8 +152,7 @@ type RaceReport struct {
 	Events int
 	// SyncEdges counts the matched sync send→handle edges.
 	SyncEdges int
-	// Warnings lists non-fatal anomalies (legacy mask-less miss details,
-	// unmatched sync messages).
+	// Warnings lists non-fatal anomalies (unmatched sync messages).
 	Warnings []string
 }
 
@@ -203,8 +201,6 @@ type raceDetector struct {
 	blocks      map[int]*blockAccesses
 	seen        map[racePair]bool
 
-	legacyMasks       int
-	orphanSyncSends   int
 	orphanSyncHandles int
 
 	rep *RaceReport
@@ -213,7 +209,8 @@ type raceDetector struct {
 // DetectRaces runs the race-detection pass over a complete trace (events
 // in seq order, as read from a trace file). It returns an error — not a
 // clean report — when the trace cannot support sound detection: seq gaps
-// (a filtered or sampled trace) or a non-monotone seq order.
+// (a filtered or sampled trace), a non-monotone seq order, or a processor
+// outside [0, protocol.MaxProcs).
 func DetectRaces(events []protocol.TraceEvent) (*RaceReport, error) {
 	c := BuildCausal(events)
 	if c.Gapped {
@@ -226,6 +223,9 @@ func DetectRaces(events []protocol.TraceEvent) (*RaceReport, error) {
 	}
 	np := 0
 	for i := range events {
+		if p := events[i].Proc; p < 0 || p >= protocol.MaxProcs {
+			return nil, fmt.Errorf("event %d: processor %d outside [0, %d)", i, p, protocol.MaxProcs)
+		}
 		if events[i].Proc+1 > np {
 			np = events[i].Proc + 1
 		}
@@ -250,17 +250,9 @@ func DetectRaces(events []protocol.TraceEvent) (*RaceReport, error) {
 		d.step(i)
 	}
 	d.rep.Blocks = len(d.blocks)
-	if d.legacyMasks > 0 {
-		d.rep.Warnings = append(d.rep.Warnings, fmt.Sprintf(
-			"%d miss events carry no offset masks (pre-mask trace); each treated as a whole-block access", d.legacyMasks))
-	}
 	if d.orphanSyncHandles > 0 {
 		d.rep.Warnings = append(d.rep.Warnings, fmt.Sprintf(
 			"%d sync handles without a visible send; their happens-before edges are lost", d.orphanSyncHandles))
-	}
-	if d.orphanSyncSends > 0 {
-		d.rep.Warnings = append(d.rep.Warnings, fmt.Sprintf(
-			"%d sync sends without a parseable destination", d.orphanSyncSends))
 	}
 	return d.rep, nil
 }
@@ -279,16 +271,11 @@ func (d *raceDetector) step(i int) {
 		if !syncMsgs[e.Msg] {
 			return
 		}
-		dst, ok := parseSendDst(e.Detail)
-		if !ok {
-			d.orphanSyncSends++
-			return
-		}
 		src := -1
 		if syncSenderIsRequester[e.Msg] {
 			src = p
 		}
-		k := syncKey{e.Msg, src, dst}
+		k := syncKey{e.Msg, src, int(e.Peer)}
 		d.pendingSync[k] = append(d.pendingSync[k], i)
 		snap := make([]int, d.np)
 		copy(snap, d.vc[p])
@@ -299,12 +286,7 @@ func (d *raceDetector) step(i int) {
 		}
 		src := -1
 		if syncSenderIsRequester[e.Msg] {
-			r, ok := parseHandleRequester(e.Detail)
-			if !ok {
-				d.orphanSyncHandles++
-				return
-			}
-			src = r
+			src = int(e.Req)
 		}
 		k := syncKey{e.Msg, src, p}
 		q := d.pendingSync[k]
@@ -327,27 +309,19 @@ func (d *raceDetector) step(i int) {
 		}
 		d.rep.SyncEdges++
 	case "sync":
-		var gen int
-		if n, err := fmt.Sscanf(e.Detail, "barrier gen=%d", &gen); n == 1 && err == nil {
-			d.arr[p] = append(d.arr[p], genPo{gen, d.po[p]})
+		if e.Kind == protocol.KindBarrier {
+			d.arr[p] = append(d.arr[p], genPo{int(e.ID), d.po[p]})
 		}
 	case "miss":
-		kind, rd, wr, declared, legacy := parseMissMasks(e.Detail)
-		if declared {
+		if e.Declared {
 			// A batch fetch: the masks are the batch's declared reference
 			// ranges, which over-approximate. The batch's touch events
 			// carry the exact accesses.
 			return
 		}
-		if legacy {
-			d.legacyMasks++
-		}
-		d.access(i, kind, rd, wr)
+		d.access(i, e.Kind.String(), e.Rd, e.Wr)
 	case "touch":
-		var rd, wr uint64
-		if n, err := fmt.Sscanf(e.Detail, "r=%x w=%x", &rd, &wr); n == 2 && err == nil {
-			d.access(i, "batched", rd, wr)
-		}
+		d.access(i, "batched", e.Rd, e.Wr)
 	}
 }
 
@@ -441,43 +415,10 @@ func (d *raceDetector) record(b int, overlap uint64, q int, first *access, bound
 	if bound > 0 {
 		we := &d.events[d.evOf[q][bound-1]]
 		r.Witness = RaceWitness{Ok: true, Seq: we.Seq, Time: we.Time,
-			Op: we.Op, Msg: we.Msg, Prim: SyncPrim(we.Op, we.Msg, we.Detail),
+			Op: we.Op, Msg: we.Msg, Prim: SyncPrim(*we),
 			After: first.po - bound}
 	}
 	d.rep.Races = append(d.rep.Races, r)
-}
-
-// parseMissMasks extracts the miss kind and slot masks from a miss event's
-// detail ("<kind> issued r=<hex> w=<hex>: <state>"). Batch fetches carry
-// "issued declared" and report declared=true. Legacy traces without masks
-// degrade to whole-block masks, flagged by legacy.
-func parseMissMasks(detail string) (kind string, rd, wr uint64, declared, legacy bool) {
-	if n, err := fmt.Sscanf(detail, "%s issued r=%x w=%x", &kind, &rd, &wr); n == 3 && err == nil {
-		return kind, rd, wr, false, false
-	}
-	if n, err := fmt.Sscanf(detail, "%s issued declared r=%x w=%x", &kind, &rd, &wr); n == 3 && err == nil {
-		return kind, rd, wr, true, false
-	}
-	kind, _, _ = strings.Cut(detail, " ")
-	const full = ^uint64(0)
-	switch kind {
-	case "read":
-		return kind, full, 0, false, true
-	case "write", "upgrade":
-		return kind, 0, full, false, true
-	default:
-		return kind, full, full, false, true
-	}
-}
-
-// parseHandleRequester extracts the requesting processor from a handle
-// event's detail ("from R<p> ...").
-func parseHandleRequester(detail string) (int, bool) {
-	var r int
-	if n, err := fmt.Sscanf(detail, "from R%d", &r); n == 1 && err == nil {
-		return r, true
-	}
-	return 0, false
 }
 
 // Format renders the report deterministically: a one-line verdict, the

@@ -14,53 +14,27 @@ type traceBuilder struct {
 	evs []protocol.TraceEvent
 }
 
-func (b *traceBuilder) ev(proc int, op, msg string, blk int, detail string) {
+func (b *traceBuilder) add(e protocol.TraceEvent) {
 	b.seq++
-	b.evs = append(b.evs, protocol.TraceEvent{
-		Seq: b.seq, Time: int64(b.seq) * 7, Proc: proc,
-		Op: op, Msg: msg, BaseLine: blk, Detail: detail,
-	})
+	e.Seq, e.Time = b.seq, int64(b.seq)*7
+	b.evs = append(b.evs, e)
 }
 
 func (b *traceBuilder) miss(proc, blk int, kind string, rd, wr uint64) {
-	b.ev(proc, "miss", "", blk, kindDetail(kind, rd, wr))
+	k, _ := protocol.ParseTraceKind(kind)
+	b.add(protocol.TraceEvent{Proc: proc, Op: "miss", BaseLine: blk, Kind: k, Rd: rd, Wr: wr})
 }
 
-func kindDetail(kind string, rd, wr uint64) string {
-	return kind + " issued r=" + hex(rd) + " w=" + hex(wr) + ": Invalid"
-}
-
-func hex(v uint64) string {
-	const digits = "0123456789abcdef"
-	if v == 0 {
-		return "0"
-	}
-	var s []byte
-	for v > 0 {
-		s = append([]byte{digits[v&0xf]}, s...)
-		v >>= 4
-	}
-	return string(s)
+func (b *traceBuilder) sync(proc int, kind protocol.TraceKind, id int) {
+	b.add(protocol.TraceEvent{Proc: proc, Op: "sync", BaseLine: -1, Kind: kind, ID: int32(id)})
 }
 
 func (b *traceBuilder) send(proc, dst int, msg string) {
-	b.ev(proc, "send", msg, -1, "to p"+itoa(dst)+" seq=0 acks=0")
+	b.add(protocol.TraceEvent{Proc: proc, Op: "send", Msg: msg, BaseLine: -1, Peer: int32(dst)})
 }
 
 func (b *traceBuilder) handle(proc, requester int, msg string) {
-	b.ev(proc, "handle", msg, -1, "from R"+itoa(requester)+" seq=0: ")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var s []byte
-	for v > 0 {
-		s = append([]byte{byte('0' + v%10)}, s...)
-		v /= 10
-	}
-	return string(s)
+	b.add(protocol.TraceEvent{Proc: proc, Op: "handle", Msg: msg, BaseLine: -1, Req: int32(requester)})
 }
 
 func detect(t *testing.T, b *traceBuilder) *RaceReport {
@@ -120,7 +94,7 @@ func TestRacesLockChainOrders(t *testing.T) {
 	// release→acquire chain orders the writes through two sync edges.
 	b := &traceBuilder{}
 	b.miss(0, 3, "write", 0, 0x3)
-	b.ev(0, "sync", "", -1, "lock-release id=0")
+	b.sync(0, protocol.KindLockRelease, 0)
 	b.send(0, 2, "LockRel")
 	b.handle(2, 0, "LockRel")
 	b.send(2, 1, "LockGrant")
@@ -140,8 +114,8 @@ func TestRacesBarrierOrders(t *testing.T) {
 	// barrier-generation rule alone (no BarGo edges, as under FastSync).
 	b := &traceBuilder{}
 	b.miss(0, 3, "write", 0, 0x3)
-	b.ev(0, "sync", "", -1, "barrier gen=0")
-	b.ev(1, "sync", "", -1, "barrier gen=0")
+	b.sync(0, protocol.KindBarrier, 0)
+	b.sync(1, protocol.KindBarrier, 0)
 	b.miss(1, 3, "write", 0, 0x3)
 	rep := detect(t, b)
 	if len(rep.Races) != 0 {
@@ -153,9 +127,9 @@ func TestRacesSameSideOfBarrier(t *testing.T) {
 	// Both writes after their processors' arrivals: concurrent, and the
 	// witness is the arrival event (the last ordered point).
 	b := &traceBuilder{}
-	b.ev(0, "sync", "", -1, "barrier gen=0")
+	b.sync(0, protocol.KindBarrier, 0)
 	b.miss(0, 3, "write", 0, 0x3)
-	b.ev(1, "sync", "", -1, "barrier gen=0")
+	b.sync(1, protocol.KindBarrier, 0)
 	b.miss(1, 3, "write", 0, 0x3)
 	rep := detect(t, b)
 	if len(rep.Races) != 1 {
@@ -171,10 +145,10 @@ func TestRacesShortestWitness(t *testing.T) {
 	// Two conflicting writes in p0's unordered suffix: the reported first
 	// access is the earliest one (shortest distance from the witness).
 	b := &traceBuilder{}
-	b.ev(0, "sync", "", -1, "barrier gen=0")
+	b.sync(0, protocol.KindBarrier, 0)
 	b.miss(0, 3, "write", 0, 0x3)
 	b.miss(0, 3, "write", 0, 0x3)
-	b.ev(1, "sync", "", -1, "barrier gen=0")
+	b.sync(1, protocol.KindBarrier, 0)
 	b.miss(1, 3, "write", 0, 0x3)
 	rep := detect(t, b)
 	if len(rep.Races) != 1 {
@@ -225,9 +199,9 @@ func TestRacesRequesterKeyedSyncMatching(t *testing.T) {
 	// attribute the first handle to p2 and detect the race.
 	b := &traceBuilder{}
 	b.miss(1, 7, "write", 0, 0x3)
-	b.ev(1, "sync", "", -1, "lock-release id=0")
+	b.sync(1, protocol.KindLockRelease, 0)
 	b.send(1, 0, "LockRel")
-	b.ev(2, "sync", "", -1, "lock-release id=1")
+	b.sync(2, protocol.KindLockRelease, 1)
 	b.send(2, 0, "LockRel")
 	b.handle(0, 2, "LockRel") // p2's release delivered first
 	b.send(0, 3, "LockGrant")
@@ -244,23 +218,10 @@ func TestRacesRequesterKeyedSyncMatching(t *testing.T) {
 	}
 }
 
-func TestRacesLegacyDetailWidens(t *testing.T) {
-	b := &traceBuilder{}
-	b.ev(0, "miss", "", 3, "write issued: Invalid")
-	b.ev(1, "miss", "", 3, "read issued: Invalid")
-	rep := detect(t, b)
-	if len(rep.Races) != 1 {
-		t.Fatalf("legacy whole-block accesses must conflict:\n%s", rep.Format())
-	}
-	if len(rep.Warnings) == 0 || !strings.Contains(rep.Warnings[0], "no offset masks") {
-		t.Errorf("want a pre-mask warning, got %v", rep.Warnings)
-	}
-}
-
 func TestRacesGappedTraceErrors(t *testing.T) {
 	evs := []protocol.TraceEvent{
-		{Seq: 1, Proc: 0, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
-		{Seq: 5, Proc: 1, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
+		{Seq: 1, Proc: 0, Op: "miss", BaseLine: 3, Kind: protocol.KindWrite, Wr: 3},
+		{Seq: 5, Proc: 1, Op: "miss", BaseLine: 3, Kind: protocol.KindWrite, Wr: 3},
 	}
 	if _, err := DetectRaces(evs); err == nil {
 		t.Fatal("gapped trace must error, not report race-free")
@@ -271,11 +232,20 @@ func TestRacesGappedTraceErrors(t *testing.T) {
 
 func TestRacesNonMonotoneSeqErrors(t *testing.T) {
 	evs := []protocol.TraceEvent{
-		{Seq: 2, Proc: 0, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
-		{Seq: 1, Proc: 1, Op: "miss", BaseLine: 3, Detail: kindDetail("write", 0, 3)},
+		{Seq: 2, Proc: 0, Op: "miss", BaseLine: 3, Kind: protocol.KindWrite, Wr: 3},
+		{Seq: 1, Proc: 1, Op: "miss", BaseLine: 3, Kind: protocol.KindWrite, Wr: 3},
 	}
 	if _, err := DetectRaces(evs); err == nil {
 		t.Fatal("non-monotone seq must error")
+	}
+}
+
+func TestRacesProcOutOfRangeErrors(t *testing.T) {
+	for _, proc := range []int{-1, protocol.MaxProcs} {
+		evs := []protocol.TraceEvent{{Seq: 1, Proc: proc, Op: "miss", BaseLine: 3, Kind: protocol.KindWrite, Wr: 3}}
+		if _, err := DetectRaces(evs); err == nil {
+			t.Errorf("processor %d must error", proc)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ type JSONLSink struct {
 
 	f   *os.File
 	bw  *bufio.Writer
+	buf []byte    // the encoded line, reused per event
 	w   io.Writer // non-file mode: write here, no rotation
 	n   int       // events in the current segment
 	err error
@@ -113,7 +114,8 @@ func (s *JSONLSink) Event(e protocol.TraceEvent) {
 			return
 		}
 	}
-	s.err = WriteEvent(s.bw, e)
+	s.buf = appendEvent(s.buf[:0], e)
+	_, s.err = s.bw.Write(s.buf)
 	s.n++
 }
 

@@ -12,11 +12,11 @@ import (
 // remote miss (or upgrade), broken into the virtual-time stages the request
 // passed through — issue, link queueing, wire transit, inbox wait, directory
 // service, forward, owner service, reply transit, install. The evidence is
-// the ordinary send/handle/miss/install events plus the xmit extension
-// (trace schema v1; see OBSERVABILITY.md §10), which carries the
-// interconnect's exact queue/wire/serialization split for every
-// miss-protocol message. On traces without xmit events (older runs, or
-// filtered ones) the transit stages collapse into coarser "-flight" stages;
+// the ordinary send/handle/miss/install events plus the xmit events (see
+// OBSERVABILITY.md §10), which carry the interconnect's exact
+// queue/wire/serialization split for every miss-protocol message. On
+// traces without xmit events (filtered or sampled ones) the transit stages
+// collapse into coarser "-flight" stages;
 // the stage partition always telescopes, so a complete span's stages sum
 // exactly to its end-to-end latency.
 
@@ -86,31 +86,6 @@ func (ss *SpanSet) DroppedTotal() int {
 	return n
 }
 
-// xmitInfo is the parsed payload of an xmit event.
-type xmitInfo struct {
-	dst, req                  int
-	arrive, queue, wire, xfer int64
-	via                       string
-}
-
-// parseXmit extracts an xmit event's fields; ok is false on malformed detail.
-func parseXmit(detail string) (xmitInfo, bool) {
-	var x xmitInfo
-	n, err := fmt.Sscanf(detail, "to p%d R%d arrive=%d queue=%d wire=%d xfer=%d via=%s",
-		&x.dst, &x.req, &x.arrive, &x.queue, &x.wire, &x.xfer, &x.via)
-	return x, n == 7 && err == nil
-}
-
-// parseHandleReq extracts the requester from a handle event's detail
-// ("from R<req> ..."); ok is false when absent.
-func parseHandleReq(detail string) (int, bool) {
-	var r int
-	if n, err := fmt.Sscanf(detail, "from R%d", &r); n == 1 && err == nil {
-		return r, true
-	}
-	return 0, false
-}
-
 // legRole classifies a message leg within a span.
 type legRole int
 
@@ -154,9 +129,11 @@ type spanLeg struct {
 	sendTime int64
 	sendProc int
 	req      int // requester, -1 until known
-	hasXmit  bool
-	x        xmitInfo
-	b        *spanBuilder // owning span, nil until known (xmit-less forwards)
+	// The xmit evidence: link-queue wait, inbox arrival and route.
+	hasXmit       bool
+	queue, arrive int64
+	uplink        bool
+	b             *spanBuilder // owning span, nil until known (xmit-less forwards)
 }
 
 // spanBuilder accumulates one request's checkpoints during the trace walk.
@@ -208,7 +185,6 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 	pendingMiss := map[pbKey][]protocol.TraceEvent{}
 	fifo := map[sendKey][]*spanLeg{}
 	lastLeg := map[int]*spanLeg{} // per-proc send awaiting its xmit
-	unparsed := 0
 
 	drop := func(reason string) { ss.Dropped[reason]++ }
 
@@ -240,11 +216,7 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			if !isLeg {
 				continue
 			}
-			dst, ok := parseSendDst(e.Detail)
-			if !ok {
-				unparsed++
-				continue
-			}
+			dst := int(e.Peer)
 			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc, req: -1}
 			switch role {
 			case legReq:
@@ -257,17 +229,12 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			lastLeg[e.Proc] = leg
 
 		case "xmit":
-			x, ok := parseXmit(e.Detail)
-			if !ok {
-				unparsed++
-				continue
-			}
 			if leg := lastLeg[e.Proc]; leg != nil && !leg.hasXmit && leg.sendTime == e.Time {
 				// The usual case: the xmit annotates the send just
 				// emitted by this processor.
-				leg.hasXmit, leg.x = true, x
+				leg.setXmit(e)
 				if leg.req < 0 {
-					leg.req = x.req
+					leg.req = int(e.Req)
 					attachLegX(leg, e, active, ss)
 				}
 				delete(lastLeg, e.Proc)
@@ -278,10 +245,11 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			if !isLeg {
 				continue
 			}
-			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc,
-				req: x.req, hasXmit: true, x: x}
+			leg := &spanLeg{role: role, sendTime: e.Time, sendProc: e.Proc, req: int(e.Req)}
+			leg.setXmit(e)
 			attachLegX(leg, e, active, ss)
-			fifo[sendKey{e.Msg, e.BaseLine, x.dst}] = append(fifo[sendKey{e.Msg, e.BaseLine, x.dst}], leg)
+			k := sendKey{e.Msg, e.BaseLine, int(e.Peer)}
+			fifo[k] = append(fifo[k], leg)
 
 		case "handle":
 			if !isLeg {
@@ -293,22 +261,20 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			// messages the interconnect may deliver out of order, and a
 			// requeued request re-dispatches with no send event at all —
 			// so the match is by the requester the handle names, falling
-			// back to positional order only when the trace lacks it.
+			// back to a leg whose requester is not yet known.
 			k := sendKey{e.Msg, e.BaseLine, e.Proc}
 			q := fifo[k]
-			r, hasR := parseHandleReq(e.Detail)
+			r := int(e.Req)
 			if role == legReply {
 				// Replies do not carry a requester field; their
 				// destination — this processor — is the requester.
-				r, hasR = e.Proc, true
+				r = e.Proc
 			}
 			pick := -1
-			if hasR {
-				for li, leg := range q {
-					if leg.req == r {
-						pick = li
-						break
-					}
+			for li, leg := range q {
+				if leg.req == r {
+					pick = li
+					break
 				}
 			}
 			if pick < 0 {
@@ -318,9 +284,6 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 						break
 					}
 				}
-			}
-			if pick < 0 && !hasR && len(q) > 0 {
-				pick = 0
 			}
 			if pick >= 0 {
 				leg := q[pick]
@@ -336,10 +299,6 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 			// forward re-dispatching after its block unblocked, the
 			// direct path (home within the requester's group injects the
 			// request without a send event), or a sampled-out send.
-			if !hasR {
-				unparsed++
-				continue
-			}
 			b := active[rbKey{r, e.BaseLine}]
 			switch {
 			case role == legReq && b != nil && b.homeHandle != 0:
@@ -403,10 +362,6 @@ func BuildSpans(events []protocol.TraceEvent) *SpanSet {
 	}
 	for range active {
 		drop("incomplete")
-	}
-	if unparsed > 0 {
-		ss.Warnings = append(ss.Warnings,
-			fmt.Sprintf("%d events with unparseable span details", unparsed))
 	}
 	if ss.Gapped {
 		ss.Warnings = append(ss.Warnings,
@@ -479,8 +434,15 @@ func attachLeg(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilde
 	}
 }
 
+// setXmit records an xmit event's timing evidence on its leg.
+func (leg *spanLeg) setXmit(e protocol.TraceEvent) {
+	leg.hasXmit = true
+	leg.queue, leg.arrive = e.Queue, e.Arrive()
+	leg.uplink = e.Uplink
+}
+
 // attachLegX attaches a leg whose requester only became known from its xmit
-// event (forwards, whose send detail does not carry the requester).
+// event (forwards, whose send event does not carry the requester).
 func attachLegX(leg *spanLeg, e protocol.TraceEvent, active map[rbKey]*spanBuilder, ss *SpanSet) {
 	if leg.b != nil || leg.req < 0 {
 		return
@@ -504,9 +466,7 @@ func resolveLeg(leg *spanLeg, role legRole, e protocol.TraceEvent,
 	if leg.b == nil {
 		r := leg.req
 		if r < 0 {
-			if hr, ok := parseHandleReq(e.Detail); ok {
-				r = hr
-			}
+			r = int(e.Req)
 		}
 		if r >= 0 {
 			if b := active[rbKey{r, e.BaseLine}]; b != nil {
@@ -569,8 +529,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 			add("issue", b.reqLeg.sendTime)
 		}
 		if b.reqLeg.hasXmit {
-			add("req-queue", b.reqLeg.sendTime+b.reqLeg.x.queue)
-			add("req-wire", b.reqLeg.x.arrive)
+			add("req-queue", b.reqLeg.sendTime+b.reqLeg.queue)
+			add("req-wire", b.reqLeg.arrive)
 			add("home-inbox", b.homeHandle)
 		} else {
 			add("req-flight", b.homeHandle)
@@ -595,8 +555,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	if b.fwdLeg != nil {
 		add("home-serve", b.fwdLeg.sendTime)
 		if b.fwdLeg.hasXmit {
-			add("fwd-queue", b.fwdLeg.sendTime+b.fwdLeg.x.queue)
-			add("fwd-wire", b.fwdLeg.x.arrive)
+			add("fwd-queue", b.fwdLeg.sendTime+b.fwdLeg.queue)
+			add("fwd-wire", b.fwdLeg.arrive)
 			add("owner-inbox", b.ownerHandle)
 		} else {
 			add("fwd-flight", b.ownerHandle)
@@ -615,8 +575,8 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 	if b.replyLeg != nil {
 		add(serve, b.replyLeg.sendTime)
 		if b.replyLeg.hasXmit {
-			add("reply-queue", b.replyLeg.sendTime+b.replyLeg.x.queue)
-			add("reply-wire", b.replyLeg.x.arrive)
+			add("reply-queue", b.replyLeg.sendTime+b.replyLeg.queue)
+			add("reply-wire", b.replyLeg.arrive)
 			add("reply-inbox", b.replyHandle)
 		} else {
 			add("reply-flight", b.replyHandle)
@@ -630,7 +590,7 @@ func (b *spanBuilder) roundCheckpoints() []checkpoint {
 // roundUplink reports whether any of the round's legs crossed an uplink.
 func (b *spanBuilder) roundUplink() bool {
 	for _, leg := range []*spanLeg{b.reqLeg, b.fwdLeg, b.replyLeg} {
-		if leg != nil && leg.hasXmit && leg.x.via == "uplink" {
+		if leg != nil && leg.hasXmit && leg.uplink {
 			return true
 		}
 	}
@@ -724,12 +684,8 @@ func (b *spanBuilder) finalize(install protocol.TraceEvent) (Span, string) {
 	if b.ownerHandle != 0 || b.fwdLeg != nil {
 		sp.Hops = 3
 	}
-	var seq int64
-	var hops int
-	if n, err := fmt.Sscanf(install.Detail, "shared seq=%d hops=%d", &seq, &hops); n == 2 && err == nil {
-		sp.Hops = hops
-	} else if n, err := fmt.Sscanf(install.Detail, "exclusive seq=%d hops=%d", &seq, &hops); n == 2 && err == nil {
-		sp.Hops = hops
+	if install.Kind == protocol.KindShared || install.Kind == protocol.KindExclusive {
+		sp.Hops = int(install.Hops)
 	}
 	sp.Uplink = b.uplink || b.roundUplink()
 	return sp, ""

@@ -20,11 +20,32 @@ type traceBuilder struct {
 	evs []protocol.TraceEvent
 }
 
-func (b *traceBuilder) ev(t int64, proc int, op, msg string, blk int, detail string) {
+func (b *traceBuilder) add(t int64, e protocol.TraceEvent) {
 	b.seq++
-	b.evs = append(b.evs, protocol.TraceEvent{
-		Seq: b.seq, Time: t, Proc: proc, Op: op, Msg: msg, BaseLine: blk, Detail: detail,
-	})
+	e.Seq, e.Time = b.seq, t
+	b.evs = append(b.evs, e)
+}
+
+func (b *traceBuilder) miss(t int64, proc, blk int, kind protocol.TraceKind) {
+	b.add(t, protocol.TraceEvent{Proc: proc, Op: "miss", BaseLine: blk, Kind: kind})
+}
+
+func (b *traceBuilder) send(t int64, proc int, msg string, blk, dst int) {
+	b.add(t, protocol.TraceEvent{Proc: proc, Op: "send", Msg: msg, BaseLine: blk, Peer: int32(dst)})
+}
+
+// xmit records a remote-route transit arriving at t+queue+wire+xfer.
+func (b *traceBuilder) xmit(t int64, proc int, msg string, blk, dst, req int, queue, wire, xfer int64) {
+	b.add(t, protocol.TraceEvent{Proc: proc, Op: "xmit", Msg: msg, BaseLine: blk,
+		Peer: int32(dst), Req: int32(req), Queue: queue, Wire: wire, Xfer: xfer})
+}
+
+func (b *traceBuilder) handle(t int64, proc int, msg string, blk, req int) {
+	b.add(t, protocol.TraceEvent{Proc: proc, Op: "handle", Msg: msg, BaseLine: blk, Req: int32(req)})
+}
+
+func (b *traceBuilder) install(t int64, proc, blk int, grant protocol.TraceKind, hops int) {
+	b.add(t, protocol.TraceEvent{Proc: proc, Op: "install", BaseLine: blk, Kind: grant, Hops: int32(hops)})
 }
 
 // sumStages asserts that every span's stage durations telescope exactly to
@@ -57,14 +78,14 @@ func stageNames(s *obsv.Span) []string {
 
 func TestSpanTwoHopWithXmit(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(110, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
-	b.ev(1700, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(1700, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R99 seq=2: state=Pending")
-	b.ev(3300, 4, "install", "", 0, "shared seq=2 hops=2")
+	b.miss(100, 4, 0, protocol.KindRead)
+	b.send(110, 4, "ReadReq", 0, 0)
+	b.xmit(110, 4, "ReadReq", 0, 0, 4, 40, 1200, 150)
+	b.handle(1600, 0, "ReadReq", 0, 4)
+	b.send(1700, 0, "DataReply", 0, 4)
+	b.xmit(1700, 0, "DataReply", 0, 4, 4, 0, 1200, 200)
+	b.handle(3200, 4, "DataReply", 0, 99)
+	b.install(3300, 4, 0, protocol.KindShared, 2)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 || len(ss.Warnings) != 0 {
@@ -100,17 +121,17 @@ func TestSpanTwoHopWithXmit(t *testing.T) {
 
 func TestSpanThreeHopForward(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 64, "read issued r=1 w=0: state=Invalid")
-	b.ev(110, 4, "send", "ReadReq", 64, "to p0 seq=1 acks=0")
-	b.ev(110, 4, "xmit", "ReadReq", 64, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 64, "from R4 seq=1: state=Home")
-	b.ev(1650, 0, "send", "ReadFwd", 64, "to p2 seq=2 acks=0")
-	b.ev(1650, 0, "xmit", "ReadFwd", 64, "to p2 R4 arrive=3000 queue=0 wire=1200 xfer=150 via=remote")
-	b.ev(3100, 2, "handle", "ReadFwd", 64, "from R4 seq=2: state=Exclusive")
-	b.ev(3200, 2, "send", "DataReply", 64, "to p4 seq=3 acks=0")
-	b.ev(3200, 2, "xmit", "DataReply", 64, "to p4 R4 arrive=4600 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(4700, 4, "handle", "DataReply", 64, "from R0 seq=3: state=Pending")
-	b.ev(4800, 4, "install", "", 64, "shared seq=3 hops=3")
+	b.miss(100, 4, 64, protocol.KindRead)
+	b.send(110, 4, "ReadReq", 64, 0)
+	b.xmit(110, 4, "ReadReq", 64, 0, 4, 40, 1200, 150)
+	b.handle(1600, 0, "ReadReq", 64, 4)
+	b.send(1650, 0, "ReadFwd", 64, 2)
+	b.xmit(1650, 0, "ReadFwd", 64, 2, 4, 0, 1200, 150)
+	b.handle(3100, 2, "ReadFwd", 64, 4)
+	b.send(3200, 2, "DataReply", 64, 4)
+	b.xmit(3200, 2, "DataReply", 64, 4, 4, 0, 1200, 200)
+	b.handle(4700, 4, "DataReply", 64, 0)
+	b.install(4800, 4, 64, protocol.KindShared, 3)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 {
@@ -131,14 +152,14 @@ func TestSpanThreeHopForward(t *testing.T) {
 
 func TestSpanUpgrade(t *testing.T) {
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "upgrade issued r=0 w=1: state=Shared")
-	b.ev(110, 4, "send", "UpgradeReq", 0, "to p0 seq=1 acks=0")
-	b.ev(110, 4, "xmit", "UpgradeReq", 0, "to p0 R4 arrive=1500 queue=0 wire=1200 xfer=60 via=remote")
-	b.ev(1600, 0, "handle", "UpgradeReq", 0, "from R4 seq=1: state=Home")
-	b.ev(1700, 0, "send", "UpgradeAck", 0, "to p4 seq=2 acks=0")
-	b.ev(1700, 0, "xmit", "UpgradeAck", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=60 via=remote")
-	b.ev(3200, 4, "handle", "UpgradeAck", 0, "from R0 seq=2: state=Pending")
-	b.ev(3250, 4, "install", "", 0, "upgrade seq=2 acks=0")
+	b.miss(100, 4, 0, protocol.KindUpgrade)
+	b.send(110, 4, "UpgradeReq", 0, 0)
+	b.xmit(110, 4, "UpgradeReq", 0, 0, 4, 0, 1200, 190)
+	b.handle(1600, 0, "UpgradeReq", 0, 4)
+	b.send(1700, 0, "UpgradeAck", 0, 4)
+	b.xmit(1700, 0, "UpgradeAck", 0, 4, 4, 0, 1200, 200)
+	b.handle(3200, 4, "UpgradeAck", 0, 0)
+	b.install(3250, 4, 0, protocol.KindUpgrade, 0)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 {
@@ -154,11 +175,11 @@ func TestSpanDirectPath(t *testing.T) {
 	// The home shares the requester's group: the request is dispatched
 	// without a send event and only the handle names the requester.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(200, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
-	b.ev(250, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(400, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
-	b.ev(450, 4, "install", "", 0, "shared seq=2 hops=1")
+	b.miss(100, 4, 0, protocol.KindRead)
+	b.handle(200, 0, "ReadReq", 0, 4)
+	b.send(250, 0, "DataReply", 0, 4)
+	b.handle(400, 4, "DataReply", 0, 0)
+	b.install(450, 4, 0, protocol.KindShared, 1)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 {
@@ -181,13 +202,13 @@ func TestSpanRequeueWithoutXmit(t *testing.T) {
 	// event; without xmit evidence the transits collapse into compound
 	// "-flight" stages that still telescope exactly.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Busy")
-	b.ev(2000, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
-	b.ev(2100, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
-	b.ev(3300, 4, "install", "", 0, "shared seq=2 hops=2")
+	b.miss(100, 4, 0, protocol.KindRead)
+	b.send(110, 4, "ReadReq", 0, 0)
+	b.handle(1600, 0, "ReadReq", 0, 4)
+	b.handle(2000, 0, "ReadReq", 0, 4)
+	b.send(2100, 0, "DataReply", 0, 4)
+	b.handle(3200, 4, "DataReply", 0, 0)
+	b.install(3300, 4, 0, protocol.KindShared, 2)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 || len(ss.Warnings) != 0 {
@@ -207,21 +228,21 @@ func TestSpanRetryFolding(t *testing.T) {
 	// round's reply installs. The two rounds fold into one span with an
 	// explicit "retry" stage, still summing exactly.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(110, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=1500 queue=40 wire=1200 xfer=150 via=remote")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
-	b.ev(1700, 0, "send", "DataReply", 0, "to p4 seq=2 acks=0")
-	b.ev(1700, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=3100 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(3200, 4, "handle", "DataReply", 0, "from R0 seq=2: state=Pending") // superseded: no install
-	b.ev(3250, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(3300, 4, "send", "ReadReq", 0, "to p0 seq=3 acks=0")
-	b.ev(3300, 4, "xmit", "ReadReq", 0, "to p0 R4 arrive=4700 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(4800, 0, "handle", "ReadReq", 0, "from R4 seq=3: state=Home")
-	b.ev(4900, 0, "send", "DataReply", 0, "to p4 seq=4 acks=0")
-	b.ev(4900, 0, "xmit", "DataReply", 0, "to p4 R4 arrive=6300 queue=0 wire=1200 xfer=200 via=remote")
-	b.ev(6400, 4, "handle", "DataReply", 0, "from R0 seq=4: state=Pending")
-	b.ev(6500, 4, "install", "", 0, "shared seq=4 hops=2")
+	b.miss(100, 4, 0, protocol.KindRead)
+	b.send(110, 4, "ReadReq", 0, 0)
+	b.xmit(110, 4, "ReadReq", 0, 0, 4, 40, 1200, 150)
+	b.handle(1600, 0, "ReadReq", 0, 4)
+	b.send(1700, 0, "DataReply", 0, 4)
+	b.xmit(1700, 0, "DataReply", 0, 4, 4, 0, 1200, 200)
+	b.handle(3200, 4, "DataReply", 0, 0) // superseded: no install
+	b.miss(3250, 4, 0, protocol.KindRead)
+	b.send(3300, 4, "ReadReq", 0, 0)
+	b.xmit(3300, 4, "ReadReq", 0, 0, 4, 0, 1200, 200)
+	b.handle(4800, 0, "ReadReq", 0, 4)
+	b.send(4900, 0, "DataReply", 0, 4)
+	b.xmit(4900, 0, "DataReply", 0, 4, 4, 0, 1200, 200)
+	b.handle(6400, 4, "DataReply", 0, 0)
+	b.install(6500, 4, 0, protocol.KindShared, 2)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 1 || ss.DroppedTotal() != 0 || len(ss.Warnings) != 0 {
@@ -256,18 +277,18 @@ func TestSpanConcurrentRequestersSameBlock(t *testing.T) {
 	// of order, so positional send/handle matching would mis-pair them.
 	// The requester named by each handle keeps the pairing straight.
 	var b traceBuilder
-	b.ev(100, 4, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(110, 4, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(120, 5, "miss", "", 0, "read issued r=1 w=0: state=Invalid")
-	b.ev(130, 5, "send", "ReadReq", 0, "to p0 seq=1 acks=0")
-	b.ev(1600, 0, "handle", "ReadReq", 0, "from R5 seq=1: state=Home") // p5 first
-	b.ev(1700, 0, "send", "DataReply", 0, "to p5 seq=2 acks=0")
-	b.ev(1800, 0, "handle", "ReadReq", 0, "from R4 seq=1: state=Home")
-	b.ev(1900, 0, "send", "DataReply", 0, "to p4 seq=3 acks=0")
-	b.ev(3100, 5, "handle", "DataReply", 0, "from R0 seq=2: state=Pending")
-	b.ev(3150, 5, "install", "", 0, "shared seq=2 hops=2")
-	b.ev(3300, 4, "handle", "DataReply", 0, "from R0 seq=3: state=Pending")
-	b.ev(3350, 4, "install", "", 0, "shared seq=3 hops=2")
+	b.miss(100, 4, 0, protocol.KindRead)
+	b.send(110, 4, "ReadReq", 0, 0)
+	b.miss(120, 5, 0, protocol.KindRead)
+	b.send(130, 5, "ReadReq", 0, 0)
+	b.handle(1600, 0, "ReadReq", 0, 5) // p5 first
+	b.send(1700, 0, "DataReply", 0, 5)
+	b.handle(1800, 0, "ReadReq", 0, 4)
+	b.send(1900, 0, "DataReply", 0, 4)
+	b.handle(3100, 5, "DataReply", 0, 0)
+	b.install(3150, 5, 0, protocol.KindShared, 2)
+	b.handle(3300, 4, "DataReply", 0, 0)
+	b.install(3350, 4, 0, protocol.KindShared, 2)
 
 	ss := obsv.BuildSpans(b.evs)
 	if len(ss.Spans) != 2 || ss.DroppedTotal() != 0 || len(ss.Warnings) != 0 {

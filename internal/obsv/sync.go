@@ -9,12 +9,12 @@ import (
 )
 
 // Synchronization contention observatory over coherence traces. The
-// protocol brackets every application sync operation in the trace: a lock
-// acquire emits "lock-acquire id=<id>" when it starts stalling and
-// "lock-acquired id=<id> prev=<p> hops=<h>" at the grant, a release emits
-// "lock-release id=<id>", and a barrier emits "barrier gen=<g>" on arrival
-// and "barrier-depart gen=<g>" on release (trace schema v1 compatible
-// extension; see OBSERVABILITY.md §12). BuildSync reconstructs from those
+// protocol brackets every application sync operation in the trace with a
+// sync event whose Kind names the step: a lock acquire emits lock-acquire
+// (ID the lock) when it starts stalling and lock-acquired (ID, Prev the
+// previous holder, Hops) at the grant, a release emits lock-release, and a
+// barrier emits barrier (ID the generation) on arrival and barrier-depart
+// on release (see OBSERVABILITY.md §12). BuildSync reconstructs from those
 // events each lock's acquire→grant→release lifecycles and each barrier
 // generation's arrival/departure profile, yielding wait and hold
 // distributions, ownership hand-off chains, a cycle-weighted wait-for
@@ -26,9 +26,7 @@ import (
 // the same requester-keyed discipline the race detector uses for lock
 // messages. Gapped or sampled traces degrade: unmatched halves are counted
 // in Dropped by reason and the rest of the analysis proceeds; BuildSync
-// never fails and never panics. Traces from before this extension have no
-// "lock-acquired"/"barrier-depart" events; their acquires and arrivals are
-// all dropped as unmatched, which is reported, not guessed at.
+// never fails and never panics.
 
 // LockAcq is one reconstructed lock-acquire lifecycle.
 type LockAcq struct {
@@ -121,8 +119,7 @@ type SyncSet struct {
 	CritCycles int64
 	CritSync   map[string]int64
 	// Dropped counts lifecycle halves the trace evidence could not match,
-	// by reason; gapped and pre-extension traces degrade here rather than
-	// failing.
+	// by reason; gapped traces degrade here rather than failing.
 	Dropped map[string]int
 	// Gapped reports seq gaps (a filtered or sampled trace).
 	Gapped bool
@@ -211,16 +208,18 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 		if e.Op != "sync" {
 			continue
 		}
-		var id, prev, hops, gen int
-		switch {
-		case scan(e.Detail, "lock-acquire id=%d", &id):
+		// ID is the lock id of lock steps and the generation of barrier
+		// steps.
+		id := int(e.ID)
+		switch e.Kind {
+		case protocol.KindLockAcquire:
 			k := lockProcKey{e.Proc, id}
 			if _, dup := pending[k]; dup {
 				ss.Dropped["acquire-unmatched"]++
 			}
 			pending[k] = pendingAcq{time: e.Time}
 
-		case scan3(e.Detail, "lock-acquired id=%d prev=%d hops=%d", &id, &prev, &hops):
+		case protocol.KindLockAcquired:
 			k := lockProcKey{e.Proc, id}
 			pa, ok := pending[k]
 			if !ok {
@@ -234,12 +233,12 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			open[k] = openAcq{acq: LockAcq{
 				Proc: e.Proc, Seq: e.Seq,
 				AcquireTime: pa.time, GrantTime: e.Time, ReleaseTime: -1,
-				Prev: prev, Hops: hops,
+				Prev: int(e.Prev), Hops: int(e.Hops),
 			}}
 			intervals[e.Proc] = append(intervals[e.Proc],
 				syncInterval{pa.time, e.Time, fmt.Sprintf("lock %d", id)})
 
-		case scan(e.Detail, "lock-release id=%d", &id):
+		case protocol.KindLockRelease:
 			k := lockProcKey{e.Proc, id}
 			oa, ok := open[k]
 			if !ok {
@@ -250,7 +249,8 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			oa.acq.ReleaseTime = e.Time
 			record(ss, lockOf(id), oa.acq, waitFor)
 
-		case scan(e.Detail, "barrier gen=%d", &gen):
+		case protocol.KindBarrier:
+			gen := id
 			k := barKey{e.Proc, gen}
 			if _, dup := arrivals[k]; dup {
 				ss.Dropped["barrier-rearrival"]++
@@ -266,7 +266,8 @@ func BuildSync(events []protocol.TraceEvent) *SyncSet {
 			}
 			g.Arrivals++
 
-		case scan(e.Detail, "barrier-depart gen=%d", &gen):
+		case protocol.KindBarrierDepart:
+			gen := id
 			k := barKey{e.Proc, gen}
 			at, ok := arrivals[k]
 			if !ok {
@@ -406,55 +407,24 @@ func (ss *SyncSet) critAttribute(c *Causal, intervals map[int][]syncInterval) {
 // "lock <id>" or "barrier" for sync operations and lock/barrier protocol
 // messages, "" for everything else. Race witnesses use it to name the sync
 // edge a race slipped past.
-func SyncPrim(op, msg, detail string) string {
-	switch op {
+func SyncPrim(e protocol.TraceEvent) string {
+	switch e.Op {
 	case "sync":
-		switch {
-		case strings.HasPrefix(detail, "lock-"):
-			if id, ok := detailID(detail); ok {
-				return fmt.Sprintf("lock %d", id)
-			}
-		case strings.HasPrefix(detail, "barrier"):
+		switch e.Kind {
+		case protocol.KindLockAcquire, protocol.KindLockAcquired, protocol.KindLockRelease:
+			return fmt.Sprintf("lock %d", e.ID)
+		case protocol.KindBarrier, protocol.KindBarrierDepart:
 			return "barrier"
 		}
 	case "send", "handle":
-		switch msg {
+		switch e.Msg {
 		case "LockReq", "LockGrant", "LockRel":
-			if id, ok := detailID(detail); ok {
-				return fmt.Sprintf("lock %d", id)
-			}
-			// Pre-extension traces carry no id on lock messages.
-			return "lock ?"
+			return fmt.Sprintf("lock %d", e.ID)
 		case "BarArrive", "BarGo":
 			return "barrier"
 		}
 	}
 	return ""
-}
-
-// detailID extracts the "id=<n>" field of a sync event or message detail.
-func detailID(detail string) (int, bool) {
-	i := strings.Index(detail, "id=")
-	if i < 0 {
-		return 0, false
-	}
-	var id int
-	if n, err := fmt.Sscanf(detail[i:], "id=%d", &id); n == 1 && err == nil {
-		return id, true
-	}
-	return 0, false
-}
-
-// scan is a strict single-int Sscanf that also rejects trailing garbage
-// mismatches conservatively (Sscanf already requires the literal prefix).
-func scan(detail, format string, a *int) bool {
-	n, err := fmt.Sscanf(detail, format, a)
-	return n == 1 && err == nil
-}
-
-func scan3(detail, format string, a, b, c *int) bool {
-	n, err := fmt.Sscanf(detail, format, a, b, c)
-	return n == 3 && err == nil
 }
 
 // waits and holds return the lock's sorted wait and hold distributions.

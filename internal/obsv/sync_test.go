@@ -2,6 +2,7 @@ package obsv_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -137,8 +138,7 @@ func TestBuildSyncGapped(t *testing.T) {
 	// unmatched, all releases orphaned, all arrivals unmatched.
 	var gapped []protocol.TraceEvent
 	for _, e := range events {
-		if e.Op == "sync" && (strings.HasPrefix(e.Detail, "lock-acquired") ||
-			strings.HasPrefix(e.Detail, "barrier-depart")) {
+		if e.Op == "sync" && (e.Kind == protocol.KindLockAcquired || e.Kind == protocol.KindBarrierDepart) {
 			continue
 		}
 		gapped = append(gapped, e)
@@ -170,39 +170,53 @@ func TestBuildSyncGapped(t *testing.T) {
 	}
 }
 
-// TestBuildSyncPreExtension pins behavior on traces from before the sync
-// enrichment: plain "lock-acquire"/"barrier" events with no grant or
-// depart markers degrade to dropped lifecycles, not guesses.
-func TestBuildSyncPreExtension(t *testing.T) {
-	ss := obsv.BuildSync([]protocol.TraceEvent{
-		{Seq: 1, Time: 10, Proc: 0, Op: "sync", BaseLine: -1, Detail: "lock-acquire id=3"},
-		{Seq: 2, Time: 40, Proc: 0, Op: "sync", BaseLine: -1, Detail: "lock-release id=3"},
-		{Seq: 3, Time: 50, Proc: 0, Op: "sync", BaseLine: -1, Detail: "barrier gen=0"},
-		{Seq: 4, Time: 55, Proc: 1, Op: "sync", BaseLine: -1, Detail: "barrier gen=0"},
-	})
-	if len(ss.Locks) != 0 || len(ss.Gens) != 1 {
-		t.Fatalf("locks %v gens %v", ss.Locks, ss.Gens)
-	}
-	if ss.Dropped["unfinished-acquire"] != 1 || ss.Dropped["release-without-acquire"] != 1 ||
-		ss.Dropped["arrive-without-depart"] != 2 {
-		t.Fatalf("dropped %v", ss.Dropped)
-	}
+// syncFuzzRecord is the byte size of one fuzzed event: op, kind, proc and
+// message selectors, then little-endian int32 ID, Prev and Hops.
+const syncFuzzRecord = 16
+
+// syncFuzzOps and syncFuzzMsgs are the op and message vocabularies the
+// fuzzed events draw from.
+var (
+	syncFuzzOps  = []string{"sync", "send", "handle", "miss"}
+	syncFuzzMsgs = []string{"", "LockReq", "LockGrant", "LockRel", "BarArrive", "BarGo", "ReadReq"}
+)
+
+// syncFuzzEvent encodes one fuzz record.
+func syncFuzzEvent(op, kind byte, proc int8, msg byte, id, prev, hops int32) []byte {
+	b := []byte{op, kind, byte(proc), msg}
+	b = binary.LittleEndian.AppendUint32(b, uint32(id))
+	b = binary.LittleEndian.AppendUint32(b, uint32(prev))
+	return binary.LittleEndian.AppendUint32(b, uint32(hops))
 }
 
-// FuzzBuildSync feeds arbitrary event streams to the analyzer: it must
-// never panic and must stay deterministic, whatever the trace claims.
+// FuzzBuildSync feeds arbitrary typed event streams to the analyzer —
+// negative and huge lock ids, generations, previous holders and hop counts,
+// sub-event kinds outside the schema, processors outside any cluster: it
+// must never panic and must stay deterministic, whatever the trace claims.
 func FuzzBuildSync(f *testing.F) {
-	f.Add([]byte("sync\x00lock-acquire id=1\x01sync\x00lock-acquired id=1 prev=0 hops=3"))
-	f.Add([]byte("sync\x00barrier gen=2\x01sync\x00barrier-depart gen=2"))
-	f.Add([]byte("sync\x00lock-release id=9\x01send\x00to p1 seq=4 acks=0 id=9"))
-	f.Add([]byte("sync\x00lock-acquired id=-1 prev=-5 hops=99"))
+	acq, acqd := byte(protocol.KindLockAcquire), byte(protocol.KindLockAcquired)
+	rel, bar, dep := byte(protocol.KindLockRelease), byte(protocol.KindBarrier), byte(protocol.KindBarrierDepart)
+	f.Add(append(syncFuzzEvent(0, acq, 1, 0, 1, 0, 0), syncFuzzEvent(0, acqd, 1, 0, 1, 0, 3)...))
+	f.Add(append(syncFuzzEvent(0, bar, 2, 0, 2, 0, 0), syncFuzzEvent(0, dep, 2, 0, 2, 0, 0)...))
+	f.Add(append(syncFuzzEvent(0, rel, 0, 0, 9, 0, 0), syncFuzzEvent(1, 0, 0, 3, 9, 0, 0)...))
+	f.Add(syncFuzzEvent(0, acqd, -3, 0, -1, -5, 99))
+	f.Add(append(syncFuzzEvent(0, 200, 7, 0, 1<<31-1, -1<<31, -1), syncFuzzEvent(2, dep, 0, 5, -7, 0, 0)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var events []protocol.TraceEvent
-		for i, rec := range bytes.Split(data, []byte{1}) {
-			op, detail, _ := bytes.Cut(rec, []byte{0})
+		for i := 0; len(data) >= syncFuzzRecord; i++ {
+			r := data[:syncFuzzRecord]
+			data = data[syncFuzzRecord:]
 			events = append(events, protocol.TraceEvent{
-				Seq: uint64(i * 2), Time: int64(i % 7), Proc: i % 3,
-				Op: string(op), BaseLine: -1, Detail: string(detail),
+				Seq:      uint64(i * 2),
+				Time:     int64(i % 7),
+				Proc:     int(int8(r[2])),
+				Op:       syncFuzzOps[int(r[0])%len(syncFuzzOps)],
+				Msg:      syncFuzzMsgs[int(r[3])%len(syncFuzzMsgs)],
+				BaseLine: -1,
+				Kind:     protocol.TraceKind(r[1]),
+				ID:       int32(binary.LittleEndian.Uint32(r[4:])),
+				Prev:     int32(binary.LittleEndian.Uint32(r[8:])),
+				Hops:     int32(binary.LittleEndian.Uint32(r[12:])),
 			})
 		}
 		ss := obsv.BuildSync(events)

@@ -76,18 +76,8 @@ func (b *Batch) note(addr memory.Addr, size int, write bool) {
 func (b *Batch) LoadF64(addr memory.Addr) float64 {
 	b.note(addr, 8, false)
 	v := b.p.rawRead(addr, 8)
-	if debugBatchFlagReads && uint32(v) == memory.FlagWord && uint32(v>>32) == memory.FlagWord {
-		base, _ := b.p.sys.lay.BlockOf(addr)
-		panic(fmt.Sprintf("batched load of flag value at addr %d (proc %d, block %d state %v, marks %d, inBatch %d)",
-			addr, b.p.id, base, b.p.grp.img.State(base), b.p.grp.batchMarks[base], b.p.inBatch))
-	}
 	return math.Float64frombits(v)
 }
-
-// debugBatchFlagReads enables a diagnostic panic when a batched load reads
-// the invalid-flag bit pattern, which almost always indicates a protocol
-// bug rather than real application data.
-var debugBatchFlagReads = false
 
 // LoadU64 reads a 64-bit integer without a per-access check.
 func (b *Batch) LoadU64(addr memory.Addr) uint64 {
@@ -208,7 +198,7 @@ func (p *Proc) Batch(refs []BatchRef, f func(*Batch)) {
 		// processor's synchronization state when the accesses ran.
 		for _, base := range bases {
 			if a := b.acc[base]; a != nil && (a.rd|a.wr) != 0 {
-				p.trace("touch", "", base, "r=%x w=%x", a.rd, a.wr)
+				p.trace(&TraceEvent{Op: "touch", BaseLine: base, Rd: a.rd, Wr: a.wr})
 			}
 		}
 		// Markers exist only when the miss handler ran; a batch whose
@@ -237,7 +227,9 @@ func (p *Proc) batchStateOK(base int, store bool) bool {
 func (p *Proc) batchMiss(bases []int, needs map[int]need2) {
 	c := p.sys.cfg.Costs
 	p.charge(stats.Task, c.Entry)
-	p.trace("batch", "", -1, "%d blocks", len(bases))
+	if p.sys.tracer != nil {
+		p.trace(&TraceEvent{Op: "batch", BaseLine: -1, Detail: fmt.Sprintf("%d blocks", len(bases))})
+	}
 	for _, base := range bases {
 		b := p.blockStat(base)
 		b.ReadMask |= needs[base].rdMask
@@ -432,6 +424,3 @@ func (p *Proc) batchEnd(bases []int) {
 		}
 	}
 }
-
-// SetDebugBatchFlagReads toggles the batched-load flag-value diagnostic.
-func SetDebugBatchFlagReads(on bool) { debugBatchFlagReads = on }

@@ -13,23 +13,25 @@ import (
 //
 // Miss-lifecycle messages (requests, forwards, replies) additionally emit
 // an xmit trace event carrying the interconnect's timing decomposition of
-// this delivery — destination, span requester, arrival cycle, and the
+// this delivery — destination, span requester, route and the
 // queue/wire/serialization split — immediately after the send event, so
 // the span layer (internal/obsv, OBSERVABILITY.md §10) can attribute each
 // request's latency to its protocol stages. The components telescope:
-// arrive - (send event time) = queue + wire + xfer, exactly.
+// arrival - (send event time) = queue + wire + xfer, exactly, which is how
+// TraceEvent.Arrive recovers the arrival cycle.
 func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 	c := p.sys.cfg.Costs
 	p.charge(cat, c.SendOverhead)
 	if m.kind != mWake {
 		// Sync messages name their primitive (lock id, or barrier
 		// generation) so the sync analyzer and race witnesses can
-		// attribute them; prefix parsers ("to p<dst>") are unaffected.
+		// attribute them.
+		ev := TraceEvent{Op: "send", Msg: m.kind.String(), BaseLine: m.baseLine,
+			Peer: int32(dst), MsgSeq: m.seq, Acks: int32(m.acks)}
 		if m.kind.syncMsg() {
-			p.trace("send", m.kind.String(), m.baseLine, "to p%d seq=%d acks=%d id=%d", dst, m.seq, m.acks, m.id)
-		} else {
-			p.trace("send", m.kind.String(), m.baseLine, "to p%d seq=%d acks=%d", dst, m.seq, m.acks)
+			ev.ID = int32(m.id)
 		}
+		p.trace(&ev)
 		switch {
 		case m.kind == mDowngradeToShared || m.kind == mDowngradeToInvalid:
 			p.st.Messages[stats.DowngradeMsg]++
@@ -45,9 +47,9 @@ func (p *Proc) send(dst int, m *pmsg, cat stats.TimeCategory) {
 		if m.kind.spanReply() {
 			r = dst
 		}
-		p.trace("xmit", m.kind.String(), m.baseLine,
-			"to p%d R%d arrive=%d queue=%d wire=%d xfer=%d via=%s",
-			dst, r, info.Arrival, info.Queue, info.Wire, info.Transfer, info.Via())
+		p.trace(&TraceEvent{Op: "xmit", Msg: m.kind.String(), BaseLine: m.baseLine,
+			Peer: int32(dst), Req: int32(r), Queue: info.Queue, Wire: info.Wire,
+			Xfer: info.Transfer, Local: info.Local, Uplink: info.Uplink})
 	}
 }
 
@@ -83,28 +85,21 @@ func (p *Proc) wakeAll(waiters procSet) {
 	waiters.forEach(func(w int) { p.wake(w) })
 }
 
-// debugTraceBlock, when nonnegative, logs every protocol message for the
-// block with that base line.
-var debugTraceBlock = -1
-
-// SetDebugTraceBlock enables message tracing for one block base line.
-func SetDebugTraceBlock(base int) { debugTraceBlock = base }
-
 // handle dispatches one protocol message, measuring handler occupancy for
 // top-level dispatches (nested replays are part of their enclosing
 // dispatch; wakeups are free and not counted).
 func (p *Proc) handle(m *pmsg) {
 	if m.kind != mWake {
-		// The detail is formatted only when a tracer will receive it.
+		// The block state is formatted only when a tracer will receive it.
 		if p.sys.tracer != nil {
-			detail := ""
+			ev := TraceEvent{Op: "handle", Msg: m.kind.String(), BaseLine: m.baseLine,
+				Req: int32(m.requester), MsgSeq: m.seq}
 			if m.baseLine >= 0 {
-				detail = p.traceState(m.baseLine)
+				ev.Detail = p.traceState(m.baseLine)
 			} else if m.kind.syncMsg() {
-				detail = fmt.Sprintf("id=%d", m.id)
+				ev.ID = int32(m.id)
 			}
-			p.trace("handle", m.kind.String(), m.baseLine, "from R%d seq=%d: %s",
-				m.requester, m.seq, detail)
+			p.trace(&ev)
 		}
 		if p.handlerDepth == 0 {
 			start := p.sp.Now()
@@ -115,16 +110,6 @@ func (p *Proc) handle(m *pmsg) {
 				p.st.HandlerEvents++
 			}()
 		}
-	}
-	if debugTraceBlock >= 0 && m.baseLine == debugTraceBlock && m.kind != mWake {
-		e := p.grp.miss[m.baseLine]
-		ek := "-"
-		if e != nil && !e.complete {
-			ek = e.kind.String()
-		}
-		fmt.Printf("[blk%d @%d] proc %d (grp %d) handles %v from R%d seq %d: state %v copySeq %d entry %s\n",
-			m.baseLine, p.sp.Now(), p.id, p.grp.id, m.kind, m.requester, m.seq,
-			p.grp.img.State(m.baseLine), p.grp.copySeq[m.baseLine], ek)
 	}
 	if p.sys.cfg.Migrate {
 		switch m.kind {
@@ -427,10 +412,6 @@ func (p *Proc) sendInvals(base int, targets procSet, requester int, seq int64) {
 	if targets.empty() {
 		return
 	}
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d sends invals to %v for R%d seq %d\n",
-			base, p.sp.Now(), p.id, targets, requester, seq)
-	}
 	p.blockStat(base).InvalsSent += int64(targets.count())
 	targets.forEach(func(t int) {
 		p.send(t, &pmsg{kind: mInval, baseLine: base, requester: requester,
@@ -623,10 +604,10 @@ func (p *Proc) handleSharingUpdate(m *pmsg) {
 // group, deferring the flag store if a batch has the block marked
 // (Section 3.4.4).
 func (p *Proc) invalidateLocal(base int) {
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d invalidateLocal (marks %d)\n", base, p.sp.Now(), p.id, p.grp.batchMarks[base])
+	if p.sys.tracer != nil {
+		p.trace(&TraceEvent{Op: "invalidate", BaseLine: base,
+			Detail: fmt.Sprintf("deferred=%v", p.grp.batchMarks[base] > 0)})
 	}
-	p.trace("invalidate", "", base, "deferred=%v", p.grp.batchMarks[base] > 0)
 	if p.grp.batchMarks[base] > 0 {
 		// The flag store is deferred until the batch ends; state becomes
 		// invalid immediately so new protocol entries behave correctly.
@@ -782,7 +763,7 @@ func (p *Proc) handleDataReply(m *pmsg) {
 	p.mergeStores(entry)
 	p.grp.copySeq[base] = m.seq
 	entry.dataArrived = true
-	p.trace("install", "", base, "shared seq=%d hops=%d", m.seq, m.hops)
+	p.trace(&TraceEvent{Op: "install", BaseLine: base, Kind: KindShared, MsgSeq: m.seq, Hops: int32(m.hops)})
 	p.st.ReadLatencySum += p.sp.Now() - m.issueTime
 	p.st.ReadLatencyCount++
 	p.recordMissLatency(stats.ReadMiss, base, m.issueTime)
@@ -834,7 +815,8 @@ func (p *Proc) handleDataExclReply(m *pmsg) {
 	entry.dataArrived = true
 	entry.exclGranted = true
 	entry.acksExpected = m.acks
-	p.trace("install", "", base, "exclusive seq=%d hops=%d acks=%d", m.seq, m.hops, m.acks)
+	p.trace(&TraceEvent{Op: "install", BaseLine: base, Kind: KindExclusive, MsgSeq: m.seq,
+		Hops: int32(m.hops), Acks: int32(m.acks)})
 	if entry.kind == stats.ReadMiss {
 		p.st.ReadLatencySum += p.sp.Now() - m.issueTime
 		p.st.ReadLatencyCount++
@@ -876,7 +858,7 @@ func (p *Proc) handleUpgradeAck(m *pmsg) {
 	entry.exclGranted = true
 	entry.acksExpected = m.acks
 	p.grp.copySeq[base] = m.seq
-	p.trace("install", "", base, "upgrade seq=%d acks=%d", m.seq, m.acks)
+	p.trace(&TraceEvent{Op: "install", BaseLine: base, Kind: KindUpgrade, MsgSeq: m.seq, Acks: int32(m.acks)})
 	p.recordMissLatency(stats.UpgradeMiss, base, m.issueTime)
 	p.grp.img.SetBlockState(base, memory.Exclusive)
 	if entry.issuer == p.id {
@@ -1000,7 +982,10 @@ func (p *Proc) startDowngrade(base int, target, preState memory.State, action fu
 			recipients = append(recipients, mem)
 		}
 	}
-	p.trace("downgrade", "", base, "to %v, %d recipients (pre %v)", target, len(recipients), preState)
+	if p.sys.tracer != nil {
+		p.trace(&TraceEvent{Op: "downgrade", BaseLine: base, State: target,
+			Detail: fmt.Sprintf("%d recipients (pre %v)", len(recipients), preState)})
+	}
 	// Downgrade our own private state immediately.
 	p.downgradePriv(base, target)
 	if p.sys.cfg.SMP() {

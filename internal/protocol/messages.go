@@ -92,7 +92,7 @@ func (k msgKind) spanReply() bool {
 }
 
 // syncMsg reports whether the kind is application synchronization traffic,
-// whose send and handle trace details carry the primitive id.
+// whose send and handle trace events carry the primitive id.
 func (k msgKind) syncMsg() bool {
 	switch k {
 	case mLockReq, mLockGrant, mLockRel, mBarArrive, mBarGo:

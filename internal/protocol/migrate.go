@@ -1,6 +1,10 @@
 package protocol
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Online home migration.
 //
@@ -248,8 +252,11 @@ func (p *Proc) maybeMigrate(base int) {
 func (p *Proc) migrateTo(base int, de *dirEntry, target int, homeCost, bestCost, thresh int64) {
 	p.st.Migrations++
 	p.blockStat(base).Migrations++
-	p.trace("migrate", "", base, "to p%d homeCost=%d bestCost=%d thresh=%d moved=%d",
-		target, homeCost, bestCost, thresh, de.mig.moved)
+	if p.sys.tracer != nil {
+		p.trace(&TraceEvent{Op: "migrate", BaseLine: base, Kind: KindHandoff, Peer: int32(target),
+			Detail: fmt.Sprintf("homeCost=%d bestCost=%d thresh=%d moved=%d",
+				homeCost, bestCost, thresh, de.mig.moved)})
+	}
 	p.migSeq++
 	if p.migrated == nil {
 		p.migrated = make(map[int]*migRec)
@@ -296,7 +303,10 @@ func (p *Proc) handleMigrate(m *pmsg) {
 	}
 	p.sys.liveHome[base] = int32(p.id)
 	p.sys.lay.BumpMigEpoch(base)
-	p.trace("migrate", "", base, "installed from p%d moved=%d", m.requester, m.mig.moved)
+	if p.sys.tracer != nil {
+		p.trace(&TraceEvent{Op: "migrate", BaseLine: base, Kind: KindInstalled, Peer: int32(m.requester),
+			Detail: fmt.Sprintf("moved=%d", m.mig.moved)})
+	}
 	p.send(m.requester, &pmsg{kind: mMigrateAck, baseLine: base, id: m.id}, stats.Message)
 	for _, q := range replay {
 		p.handle(q)
@@ -339,7 +349,8 @@ func (p *Proc) divertMigrated(rec *migRec, m *pmsg) {
 // MigForward.
 func (p *Proc) forwardMigrated(rec *migRec, m *pmsg) {
 	p.st.MigForwards++
-	p.trace("migfwd", m.kind.String(), m.baseLine, "to p%d R%d", rec.to, m.requester)
+	p.trace(&TraceEvent{Op: "migfwd", Msg: m.kind.String(), BaseLine: m.baseLine,
+		Peer: int32(rec.to), Req: int32(m.requester)})
 	if p.sys.net.SameNode(p.id, rec.to) {
 		p.st.Messages[stats.LocalMsg]++
 	} else {

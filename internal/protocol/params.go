@@ -117,14 +117,9 @@ type Config struct {
 	// back to serial when the run has a single conflict domain (one node,
 	// or Hardware mode's global sharing group).
 	Parallel bool
-	// FixedWindows forces the parallel scheduler's original fixed
-	// lookahead windows, disabling the adaptive per-domain window
-	// extension. Results are bit-identical either way; the knob exists so
-	// benchmarks can measure what the adaptive windows buy.
-	FixedWindows bool
 	// WindowCap bounds how far an adaptive window may run ahead of a
 	// domain's own virtual time, in cycles. 0 selects the engine default
-	// (64 lookaheads). Only meaningful with Parallel and not FixedWindows.
+	// (64 lookaheads). Only meaningful with Parallel.
 	WindowCap int64
 	// ForceSMPChecks makes the inline checks use the SMP-Shasta code
 	// sequences even when Clustering is 1. The Table 1 checking-overhead

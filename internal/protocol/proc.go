@@ -212,7 +212,7 @@ func (p *Proc) setPrivBlock(baseLine int, st memory.State) {
 		return
 	}
 	if st.Valid() {
-		p.trace("privup", "", baseLine, "to %v", st)
+		p.trace(&TraceEvent{Op: "privup", BaseLine: baseLine, State: st})
 	}
 	p.priv.SetBlock(p.sys.lay, baseLine, st)
 }
@@ -288,10 +288,6 @@ func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
 	p.charge(stats.Task, c.Entry)
 	base, lines := p.sys.lay.BlockOf(addr)
 	mask := p.markAccess(base, lines, addr, size, false)
-	if debugTraceBlock >= 0 && base == debugTraceBlock {
-		fmt.Printf("[blk%d @%d] proc %d loadMiss addr %d: state %v entry %v\n",
-			base, p.sp.Now(), p.id, addr, p.grp.img.State(base), p.grp.miss[base] != nil)
-	}
 	for {
 		p.lockBlock(base)
 		// An existing miss entry takes precedence over the state table:
@@ -328,10 +324,6 @@ func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
 			v := p.rawRead(addr, size)
 			if flagHit(v, size) {
 				p.st.FalseMisses++
-				if debugBatchFlagReads && size == 8 && uint32(v>>32) == memory.FlagWord {
-					panic(fmt.Sprintf("false miss returns full flag: proc %d addr %d block %d state %v copySeq %d",
-						p.id, addr, base, st, p.grp.copySeq[base]))
-				}
 			}
 			p.unlockBlock(base)
 			return v
@@ -342,9 +334,6 @@ func (p *Proc) loadMiss(addr memory.Addr, size int) uint64 {
 				// The pre-downgrade state suffices for a load; serve it
 				// while holding the lock (Section 3.4.3).
 				v := p.rawRead(addr, size)
-				if debugBatchFlagReads && uint32(v) == memory.FlagWord && (size == 4 || uint32(v>>32) == memory.FlagWord) {
-					panic(fmt.Sprintf("load-during-downgrade returned flag: proc %d block %d pre %v", p.id, base, dg.preState))
-				}
 				p.unlockBlock(base)
 				p.charge(stats.Other, c.MissTableOp)
 				return v
@@ -540,21 +529,18 @@ func (p *Proc) stallOutstanding() {
 }
 
 // newMissEntry creates and registers a miss entry for a block. rdMask and
-// wrMask are the sub-block slots the triggering access touches; they ride in
-// the miss event's free-form detail as the race detector's offset evidence
-// (see internal/obsv/races.go). Batch misses pass declared=true: their masks
-// are the batch's conservatively declared reference ranges, not actual
-// accesses (the batch emits touch events with the exact slots instead), and
-// the detail marks them so the detector does not mistake them for evidence.
+// wrMask are the sub-block slots the triggering access touches; the miss
+// event carries them as the race detector's offset evidence (see
+// internal/obsv/races.go). Batch misses pass declared=true: their masks are
+// the batch's conservatively declared reference ranges, not actual accesses
+// (the batch emits touch events with the exact slots instead), and the
+// event's Declared flag keeps the detector from mistaking them for evidence.
 func (p *Proc) newMissEntry(base int, kind stats.MissKind, rdMask, wrMask uint64, declared bool) *missEntry {
 	p.charge(stats.Other, p.sys.cfg.Costs.MissTableOp)
-	// The detail is formatted only when a tracer will receive it.
+	// The block state is formatted only when a tracer will receive it.
 	if p.sys.tracer != nil {
-		if declared {
-			p.trace("miss", "", base, "%v issued declared r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
-		} else {
-			p.trace("miss", "", base, "%v issued r=%x w=%x: %s", kind, rdMask, wrMask, p.traceState(base))
-		}
+		p.trace(&TraceEvent{Op: "miss", BaseLine: base, Kind: KindRead + TraceKind(kind),
+			Rd: rdMask, Wr: wrMask, Declared: declared, Detail: p.traceState(base)})
 	}
 	e := &missEntry{
 		baseLine:  base,

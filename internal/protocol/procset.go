@@ -1,10 +1,6 @@
 package protocol
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // procSetWords is the fixed word count of a procSet. It bounds the
 // processor count the protocol's directory bit vectors and waiter sets can
@@ -92,16 +88,4 @@ func (s procSet) forEach(f func(p int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// String renders the set as hex words, high word first, for debug output.
-func (s procSet) String() string {
-	var b strings.Builder
-	for i := procSetWords - 1; i >= 0; i-- {
-		if i < procSetWords-1 {
-			b.WriteByte(':')
-		}
-		fmt.Fprintf(&b, "%x", s[i])
-	}
-	return b.String()
 }

@@ -267,7 +267,6 @@ func New(cfg Config) *System {
 	// Params.Lookahead bound) a valid lookahead.
 	s.eng.Parallel = cfg.Parallel
 	s.eng.Lookahead = cfg.Net.RemoteWire
-	s.eng.FixedWindows = cfg.FixedWindows
 	s.eng.WindowCap = cfg.WindowCap
 	s.eng.SetDomains(conflictDomains(topo, groupSize, cfg.NumProcs))
 	s.eng.SetEmitFunc(s.emitTrace)

@@ -3,52 +3,74 @@ package protocol
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/memory"
 )
 
 // TraceSchemaVersion is the version of the trace-event schema: the set of
-// TraceEvent fields, the Op vocabulary below, and the message-kind names
-// used in Msg. It is carried in the header of serialized traces (see
+// TraceEvent fields, the Op and Kind vocabularies, and the message-kind
+// names used in Msg. It is carried in the header of serialized traces (see
 // internal/obsv) and must be bumped whenever a field is renamed or removed,
-// an Op is renamed, or the meaning of an existing field changes. Adding a
-// new Op or message kind is a compatible extension and does not require a
-// bump. The contract is documented field by field in OBSERVABILITY.md.
-const TraceSchemaVersion = 1
+// an Op or Kind is renamed, or the meaning of an existing field changes.
+// Adding a new Op, Kind or message kind is a compatible extension and does
+// not require a bump. Version 2 made every fact an analysis reads a typed
+// field; version 1 carried them as prose in Detail. The contract is
+// documented field by field, with the fields each Op sets, in
+// OBSERVABILITY.md §1.
+const TraceSchemaVersion = 2
 
 // TraceOps lists the event kinds a Tracer can receive, in no particular
-// order. The vocabulary is part of the versioned trace schema:
-//
-//	send        a protocol message leaves a processor
-//	handle      a protocol message is dispatched at its destination
-//	miss        a shared miss registers a new miss-table entry
-//	downgrade   a block downgrade starts within a sharing group
-//	install     reply data (or an upgrade grant) is installed at the requester
-//	invalidate  a block's local copy is flag-filled and marked invalid
-//	sync        an application synchronization point (lock, barrier)
-//	batch       the batch miss handler begins fetching a batch's blocks
-//	privup      a processor's private state table entry is raised to a
-//	            valid state (SMP-Shasta only; compatible v1 extension)
-//	touch       the exact sub-block slots a batched body accessed in one
-//	            fetched block, emitted at batch end (compatible v1
-//	            extension; the race detector's batch access evidence)
-//	xmit        the interconnect's timing decomposition for one
-//	            miss-protocol message (request, forward or reply),
-//	            emitted immediately after its send event: destination,
-//	            requester, absolute arrival cycle, and the link-queue /
-//	            wire / serialization split (compatible v1 extension; the
-//	            span layer's transit evidence, see OBSERVABILITY.md §10)
-//	migrate     an online home-migration event: at the old home, the
-//	            decision to re-home a block (with the cost-model evidence
-//	            that triggered it); at the new home, the installation of
-//	            the transferred directory entry (compatible v1 extension,
-//	            see OBSERVABILITY.md §11)
-//	migfwd      a home-bound message relayed along a migration tombstone
-//	            at a previous home toward the block's live home
-//	            (compatible v1 extension)
+// order. The vocabulary is part of the versioned trace schema; see
+// OBSERVABILITY.md §1 for when each is emitted.
 var TraceOps = []string{
 	"send", "handle", "miss", "downgrade", "install", "invalidate",
 	"sync", "batch", "privup", "touch", "xmit", "migrate", "migfwd",
+}
+
+// TraceKind is an event's sub-kind: the miss kind of a miss event, the
+// grant of an install, the step of a sync event, or the side of a migrate
+// event. The zero value means the event has none.
+type TraceKind uint8
+
+// Trace kinds. The miss kinds follow stats.MissKind's order, and
+// KindUpgrade is both a miss kind and an install grant.
+const (
+	KindNone TraceKind = iota
+	KindRead
+	KindWrite
+	KindUpgrade
+	KindShared
+	KindExclusive
+	KindLockAcquire
+	KindLockAcquired
+	KindLockRelease
+	KindBarrier
+	KindBarrierDepart
+	KindHandoff
+	KindInstalled
+)
+
+var traceKindNames = [...]string{"", "read", "write", "upgrade", "shared", "exclusive",
+	"lock-acquire", "lock-acquired", "lock-release", "barrier", "barrier-depart",
+	"handoff", "installed"}
+
+// String returns the kind's schema name ("" for KindNone).
+func (k TraceKind) String() string {
+	if int(k) < len(traceKindNames) {
+		return traceKindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", k)
+}
+
+// ParseTraceKind returns the kind with the given schema name.
+func ParseTraceKind(s string) (TraceKind, bool) {
+	for k, name := range traceKindNames {
+		if name == s {
+			return TraceKind(k), true
+		}
+	}
+	return 0, false
 }
 
 // TraceEvent is one protocol-level event, emitted to a Tracer attached to
@@ -56,6 +78,8 @@ var TraceOps = []string{
 // the observability pipeline (see internal/obsv and cmd/shastatrace), and
 // for teaching: a filtered trace of a single block reads like the protocol
 // walkthroughs in the paper (request, forward, downgrade messages, reply).
+// The fields after Detail are the event's typed protocol facts; each Op
+// sets the ones OBSERVABILITY.md §1 lists and leaves the rest zero.
 type TraceEvent struct {
 	// Seq is a global, strictly increasing sequence number assigned at
 	// emission. The simulator is cooperatively scheduled, so Seq gives a
@@ -68,25 +92,106 @@ type TraceEvent struct {
 	Proc int
 	// Op names the event; see TraceOps.
 	Op string
-	// Msg is the protocol message kind for send/handle events, empty
-	// otherwise.
+	// Msg is the protocol message kind of a send, handle, xmit or migfwd
+	// event, empty otherwise.
 	Msg string
 	// BaseLine identifies the block, -1 for non-block events.
 	BaseLine int
-	// Detail is free-form context (states, sequence numbers, targets).
-	// Unlike the other fields it is not part of the stable schema: its
-	// contents may change between versions without a bump.
+	// Detail is human context that no analysis reads, such as a handle's
+	// local block state. It never repeats a typed fact.
 	Detail string
+
+	MsgSeq            int64        // directory sequence number a message carries or an install installs
+	Rd, Wr            uint64       // slots read and written (stats.SlotMask) by a miss or a batch (touch)
+	Queue, Wire, Xfer int64        // an xmit's link queueing, first-byte latency and serialization
+	Peer              int32        // a message's destination; a migration's target or source
+	Req               int32        // the processor a message travels for
+	Acks              int32        // invalidation acks a message or grant makes the requester expect
+	Hops              int32        // 2 for a reply from the home, 3 via a third processor; a lock grant's hops
+	ID                int32        // a lock id, or a barrier generation
+	Prev              int32        // a granted lock's previous holder, -1 for its first grant
+	Kind              TraceKind    // the event's sub-kind
+	State             memory.State // a downgrade's or privup's target state
+	Declared          bool         // a batch miss: its masks are declared ranges, not accesses
+	Local, Uplink     bool         // an xmit's route, as in memchan.SendInfo (neither: remote)
+}
+
+// Arrive is the absolute cycle an xmit's message reaches its destination's
+// inbox: the transit components telescope from the event's Time.
+func (e TraceEvent) Arrive() int64 { return e.Time + e.Queue + e.Wire + e.Xfer }
+
+// Describe renders the event's typed facts and Detail as the human-readable
+// phrase String ends with, such as "to p0 seq=3 acks=0" for a send.
+func (e TraceEvent) Describe() string {
+	// LockReq, LockGrant, LockRel, BarArrive and BarGo name their primitive.
+	syncMsg := strings.HasPrefix(e.Msg, "Lock") || strings.HasPrefix(e.Msg, "Bar")
+	switch e.Op {
+	case "send":
+		if syncMsg {
+			return fmt.Sprintf("to p%d seq=%d acks=%d id=%d", e.Peer, e.MsgSeq, e.Acks, e.ID)
+		}
+		return fmt.Sprintf("to p%d seq=%d acks=%d", e.Peer, e.MsgSeq, e.Acks)
+	case "handle":
+		if syncMsg {
+			return fmt.Sprintf("from R%d seq=%d: id=%d", e.Req, e.MsgSeq, e.ID)
+		}
+		return fmt.Sprintf("from R%d seq=%d: %s", e.Req, e.MsgSeq, e.Detail)
+	case "xmit":
+		via := "remote"
+		if e.Local {
+			via = "local"
+		} else if e.Uplink {
+			via = "uplink"
+		}
+		return fmt.Sprintf("to p%d R%d arrive=%d queue=%d wire=%d xfer=%d via=%s",
+			e.Peer, e.Req, e.Arrive(), e.Queue, e.Wire, e.Xfer, via)
+	case "miss":
+		declared := ""
+		if e.Declared {
+			declared = "declared "
+		}
+		return fmt.Sprintf("%v issued %sr=%x w=%x: %s", e.Kind, declared, e.Rd, e.Wr, e.Detail)
+	case "install":
+		switch e.Kind {
+		case KindShared:
+			return fmt.Sprintf("shared seq=%d hops=%d", e.MsgSeq, e.Hops)
+		case KindUpgrade:
+			return fmt.Sprintf("upgrade seq=%d acks=%d", e.MsgSeq, e.Acks)
+		}
+		return fmt.Sprintf("%v seq=%d hops=%d acks=%d", e.Kind, e.MsgSeq, e.Hops, e.Acks)
+	case "downgrade":
+		return fmt.Sprintf("to %v, %s", e.State, e.Detail)
+	case "privup":
+		return fmt.Sprintf("to %v", e.State)
+	case "touch":
+		return fmt.Sprintf("r=%x w=%x", e.Rd, e.Wr)
+	case "sync":
+		switch e.Kind {
+		case KindLockAcquired:
+			return fmt.Sprintf("lock-acquired id=%d prev=%d hops=%d", e.ID, e.Prev, e.Hops)
+		case KindBarrier, KindBarrierDepart:
+			return fmt.Sprintf("%v gen=%d", e.Kind, e.ID)
+		}
+		return fmt.Sprintf("%v id=%d", e.Kind, e.ID)
+	case "migrate":
+		if e.Kind == KindInstalled {
+			return fmt.Sprintf("installed from p%d %s", e.Peer, e.Detail)
+		}
+		return fmt.Sprintf("to p%d %s", e.Peer, e.Detail)
+	case "migfwd":
+		return fmt.Sprintf("to p%d R%d", e.Peer, e.Req)
+	}
+	return e.Detail
 }
 
 // String renders the event as one line.
 func (e TraceEvent) String() string {
-	if e.Msg != "" {
-		return fmt.Sprintf("@%-10d p%-2d %-10s %-18s blk%-5d %s",
-			e.Time, e.Proc, e.Op, e.Msg, e.BaseLine, e.Detail)
+	msg := e.Msg
+	if msg == "" {
+		msg = "-"
 	}
 	return fmt.Sprintf("@%-10d p%-2d %-10s %-18s blk%-5d %s",
-		e.Time, e.Proc, e.Op, "-", e.BaseLine, e.Detail)
+		e.Time, e.Proc, e.Op, msg, e.BaseLine, e.Describe())
 }
 
 // Tracer receives protocol events. Implementations must be fast; they run
@@ -136,24 +241,20 @@ func (t *CollectorTracer) Event(e TraceEvent) {
 // Run.
 func (s *System) SetTracer(tr Tracer) { s.tracer = tr }
 
-// trace emits an event if a tracer is attached. The event is buffered in
-// the simulator and delivered to the tracer — with its Seq assigned — on
-// the scheduler's control thread once the virtual-time floor passes it, in
-// deterministic (Time, Proc, program order) order; see emitTrace. The
-// tracer therefore observes an identical event sequence under the serial
-// and parallel schedulers.
-func (p *Proc) trace(op, msg string, base int, format string, args ...any) {
+// trace emits an event if a tracer is attached, stamping it with the
+// processor's clock and id. The event is buffered in the simulator and
+// delivered to the tracer — with its Seq assigned — on the scheduler's
+// control thread once the virtual-time floor passes it, in deterministic
+// (Time, Proc, program order) order; see emitTrace. The tracer therefore
+// observes an identical event sequence under the serial and parallel
+// schedulers. Callers build any Detail only when a tracer is attached.
+func (p *Proc) trace(e *TraceEvent) {
 	if p.sys.tracer == nil {
 		return
 	}
-	p.sp.Emit(TraceEvent{
-		Time:     p.sp.Now(),
-		Proc:     p.id,
-		Op:       op,
-		Msg:      msg,
-		BaseLine: base,
-		Detail:   fmt.Sprintf(format, args...),
-	})
+	e.Time = p.sp.Now()
+	e.Proc = p.id
+	p.sp.Emit(*e)
 }
 
 // emitTrace is the engine's emit sink: it assigns the global sequence
@@ -169,7 +270,8 @@ func (s *System) emitTrace(_ int64, _ int, payload any) {
 	s.tracer.Event(ev)
 }
 
-// traceState summarizes a block's local protocol state for trace details.
+// traceState summarizes a block's local protocol state for a trace event's
+// human Detail.
 func (p *Proc) traceState(base int) string {
 	st := p.grp.img.State(base)
 	priv := memory.State(0)

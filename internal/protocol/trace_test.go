@@ -120,33 +120,70 @@ func TestWriterTracerFilters(t *testing.T) {
 	}
 }
 
-// TestUntracedPathsDoNotFormat pins that handling a message and issuing a
-// miss build no trace detail when no tracer is attached: the handled
-// downgrade (kept from finishing, so it repeats) allocates nothing, and the
-// issued miss allocates only its entry. Formatting the detail with fmt
-// would add several allocations to each.
+// TestUntracedPathsDoNotFormat pins that with no tracer attached the
+// protocol builds no trace event and formats no detail. Each traced path
+// below is run repeatedly and must allocate exactly its protocol state —
+// miss entries, messages (each boxed twice more by the simulator's inbox
+// heap), reply data, directory and lock-manager state, the lock stall's
+// label — as an allocation profile of the test shows. Lock ids and barrier
+// generations are above 255, so boxing them for a formatter would add an
+// allocation per traced step. The paths:
+//
+//	handle      a handled downgrade (kept from finishing, so it repeats)
+//	miss        a registered miss entry
+//	read miss   p4 misses on a fresh block homed on node 0: send, xmit,
+//	            handle and install events at both ends
+//	batch miss  the same fetch through the batch miss handler, adding the
+//	            batch and touch events
+//	lock        acquire and release of a lock homed on node 0: sync events
+//	            and LockReq/LockGrant/LockRel sends and handles
+//	barrier     one barrier across all eight processors: sync events and
+//	            BarArrive/BarGo sends and handles
 func TestUntracedPathsDoNotFormat(t *testing.T) {
-	s := testSystem(4, 4)
+	const runs = 100
+	s := testSystem(8, 4)
 	a := s.AllocPlaced(64, 64, 0)
-	var handleAllocs, missAllocs float64
+	fresh := s.AllocPlaced(64*(2*runs+4), 64, 0)
+	got := map[string]float64{}
 	s.Run(func(p *Proc) {
-		if p.ID() != 0 {
-			return
+		if p.ID() == 0 {
+			base := s.lay.LineOf(a)
+			p.grp.downgrades[base] = &dgEntry{baseLine: base, remaining: 1 << 30}
+			m := &pmsg{kind: mDowngradeToShared, baseLine: base, requester: 1, seq: 300}
+			got["handle"] = testing.AllocsPerRun(runs, func() { p.handle(m) })
+			delete(p.grp.downgrades, base)
+			got["miss"] = testing.AllocsPerRun(runs, func() {
+				p.newMissEntry(base, stats.ReadMiss, 0x1ff, 0, false)
+				delete(p.grp.miss, base)
+			})
 		}
-		base := s.lay.LineOf(a)
-		p.grp.downgrades[base] = &dgEntry{baseLine: base, remaining: 1 << 30}
-		m := &pmsg{kind: mDowngradeToShared, baseLine: base, requester: 1, seq: 300}
-		handleAllocs = testing.AllocsPerRun(100, func() { p.handle(m) })
-		delete(p.grp.downgrades, base)
-		missAllocs = testing.AllocsPerRun(100, func() {
-			p.newMissEntry(base, stats.ReadMiss, 0x1ff, 0, false)
-			delete(p.grp.miss, base)
-		})
+		p.Barrier()
+		if p.ID() == 4 {
+			next := fresh
+			block := func() memory.Addr { next += 64; return next }
+			got["read miss"] = testing.AllocsPerRun(runs, func() { _ = p.LoadF64(block()) })
+			got["batch miss"] = testing.AllocsPerRun(runs, func() {
+				x := block()
+				p.Batch([]BatchRef{{Base: x, Bytes: 8}}, func(b *Batch) { _ = b.LoadF64(x) })
+			})
+			got["lock"] = testing.AllocsPerRun(runs, func() {
+				p.LockAcquire(258)
+				p.LockRelease(258)
+			})
+		}
+		// Past generation 255, so a boxed generation would allocate.
+		for i := 0; i < 256; i++ {
+			p.Barrier()
+		}
+		n := testing.AllocsPerRun(runs, p.Barrier)
+		if p.ID() == 0 {
+			got["barrier"] = n
+		}
 	})
-	if handleAllocs != 0 {
-		t.Errorf("untraced handle allocates %.1f objects per message, want 0", handleAllocs)
-	}
-	if missAllocs != 1 {
-		t.Errorf("untraced newMissEntry allocates %.1f objects per miss, want 1 (the entry)", missAllocs)
+	want := map[string]float64{"handle": 0, "miss": 1, "read miss": 10, "batch miss": 13, "lock": 12, "barrier": 45}
+	for op, n := range want {
+		if got[op] != n {
+			t.Errorf("untraced %s allocates %.0f objects, want %.0f", op, got[op], n)
+		}
 	}
 }

@@ -83,11 +83,11 @@ func satAdd(a, b int64) int64 {
 // per active domain, and on join merges staged cross-domain messages, runs
 // deferred fences, and flushes emissions below the next floor.
 //
-// Window widths are adaptive per domain unless Engine.FixedWindows is set.
-// The fixed window [T, T+L) starves parallelism when domains' virtual times
-// drift apart — a domain at T+50L waits idle for tens of windows while the
-// laggard catches up. The safe bound is per-receiver: domain i cannot
-// receive anything before
+// Window widths are adaptive per domain. A fixed window [T, T+L) would
+// starve parallelism when domains' virtual times drift apart — a domain
+// at T+50L would wait idle for tens of windows while the laggard catches
+// up. The safe bound is per-receiver: domain i cannot receive anything
+// before
 //
 //	H_i = min over other domains j of (tDom_j + L)
 //
@@ -180,29 +180,24 @@ func (e *Engine) runWindows() int64 {
 		// min-over-others bound without an O(domains²) pass.
 		min1, min2 := int64(math.MaxInt64), int64(math.MaxInt64)
 		minIdx := -1
-		if !e.FixedWindows {
-			for di, t := range e.domNext {
-				if t < min1 {
-					min1, min2, minIdx = t, min1, di
-				} else if t < min2 {
-					min2 = t
-				}
+		for di, t := range e.domNext {
+			if t < min1 {
+				min1, min2, minIdx = t, min1, di
+			} else if t < min2 {
+				min2 = t
 			}
 		}
 		for di := range e.domains {
-			end := fixedEnd
-			if !e.FixedWindows {
-				other := min1
-				if di == minIdx {
-					other = min2
-				}
-				end = satAdd(other, e.Lookahead)
-				if lim := satAdd(e.domNext[di], capWidth); lim < end {
-					end = lim
-				}
-				if end < fixedEnd {
-					end = fixedEnd
-				}
+			other := min1
+			if di == minIdx {
+				other = min2
+			}
+			end := satAdd(other, e.Lookahead)
+			if lim := satAdd(e.domNext[di], capWidth); lim < end {
+				end = lim
+			}
+			if end < fixedEnd {
+				end = fixedEnd
 			}
 			if hasCut && cut < end {
 				end = cut

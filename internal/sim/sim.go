@@ -467,11 +467,6 @@ type Engine struct {
 	// execute in parallel. The embedder must guarantee the bound; the
 	// engine panics on a violating send.
 	Lookahead int64
-	// FixedWindows forces the original fixed [T, T+L) windows, disabling
-	// the adaptive per-domain window extension (see parallel.go). Results
-	// are bit-identical either way; the knob exists so benchmarks can
-	// measure what the adaptive windows buy.
-	FixedWindows bool
 	// WindowCap bounds how far an adaptive window may run ahead of a
 	// domain's own next-run time, in cycles. 0 selects the default of 64
 	// lookaheads; values below the lookahead are raised to it.

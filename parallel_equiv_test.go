@@ -215,14 +215,14 @@ func TestParallelSchedulerBitIdenticalMigrate(t *testing.T) {
 
 // TestParallelSchedulerBitIdenticalAtScale enforces the same contract at 64
 // processors on a hierarchical topology (16 four-processor nodes in 4
-// uplink groups): the serial scheduler, the parallel scheduler with fixed
-// windows, and the parallel scheduler with adaptive windows (the default)
-// must all produce identical trace bytes, metrics bytes, cycles and
-// checksums. This is the scale regime the interconnect hierarchy and the
-// adaptive windows were built for, so both knobs are exercised explicitly.
+// uplink groups): the serial scheduler and the parallel scheduler with
+// adaptive windows, with and without online home migration, must produce
+// identical trace bytes, metrics bytes, cycles and checksums. This is the
+// scale regime the interconnect hierarchy and the adaptive windows were
+// built for.
 func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("64-processor runs under three schedulers")
+		t.Skip("64-processor runs under two schedulers")
 	}
 	base := shasta.Config{Procs: 64, Clustering: 4, NodesPerGroup: 4, HeapBytes: 4 << 20}
 	sTrace, sMetrics, sSpans, sSync, sCycles, sSum := observedRun(t, "LU", base)
@@ -230,10 +230,8 @@ func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 		shasta.Config{Procs: 64, Clustering: 4, NodesPerGroup: 4, HeapBytes: 4 << 20, Migrate: true})
 	for _, mode := range []struct {
 		name    string
-		fixed   bool
 		migrate bool
-	}{{"fixed-windows", true, false}, {"adaptive-windows", false, false},
-		{"migrate", false, true}} {
+	}{{"adaptive-windows", false}, {"migrate", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			sTrace, sMetrics, sSpans, sSync, sCycles, sSum := sTrace, sMetrics, sSpans, sSync, sCycles, sSum
 			if mode.migrate {
@@ -241,7 +239,6 @@ func TestParallelSchedulerBitIdenticalAtScale(t *testing.T) {
 			}
 			cfg := base
 			cfg.Parallel = true
-			cfg.FixedWindows = mode.fixed
 			cfg.Migrate = mode.migrate
 			pTrace, pMetrics, pSpans, pSync, pCycles, pSum := observedRun(t, "LU", cfg)
 			if sCycles != pCycles {

@@ -218,11 +218,6 @@ type Config struct {
 	// statistics, traces, metrics — is bit-identical to the default
 	// serial scheduler's; only host wall-clock time changes.
 	Parallel bool
-	// FixedWindows forces the parallel scheduler's original fixed
-	// lookahead windows, disabling adaptive per-domain window extension.
-	// Results are bit-identical either way; benchmarks use the knob to
-	// measure what the adaptive windows buy.
-	FixedWindows bool
 	// WindowCap bounds adaptive window run-ahead, in cycles beyond a
 	// domain's own virtual time; 0 selects the engine default.
 	WindowCap int64
@@ -269,7 +264,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		MigrateInterval:     cfg.MigrateInterval,
 		MigrateThreshold:    cfg.MigrateThreshold,
 		Parallel:            cfg.Parallel,
-		FixedWindows:        cfg.FixedWindows,
 		WindowCap:           cfg.WindowCap,
 	}.WithDefaults()
 	if err := pcfg.Validate(); err != nil {
